@@ -1,13 +1,15 @@
-//! Bench crate: criterion targets live in `benches/`; the JSON baseline
-//! recorders (`bench_engine`, `bench_trace_replay`) live in `src/bin/` and
-//! share the structured host provenance emitted by [`HostInfo::capture`].
+//! Measurement support shared by the `bench_rebalance` recorder, the
+//! repository benchmark (`benchmark/`) and this crate's tests: the
+//! structured host provenance of [`HostInfo::capture`] and the fixed FIB
+//! workload of [`fib_baseline`], whose total costs `tests/fib_costs.rs`
+//! pins.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-/// Provenance of the machine a baseline was recorded on. Serialized as a
-/// structured `host` object into every `BENCH_*.json` (replacing the old
-/// free-form comment string), so regressions can be attributed to hardware
-/// or toolchain changes instead of being puzzled over.
+/// Provenance of the machine a measurement was recorded on, serialized as
+/// a structured `host` object next to every recorded result, so
+/// regressions can be attributed to hardware or toolchain changes instead
+/// of being puzzled over.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostInfo {
     /// Logical CPU count (`std::thread::available_parallelism`).
@@ -51,61 +53,13 @@ impl HostInfo {
     }
 }
 
-/// The shared trace-replay benchmark workload: a forest of `shards`
-/// independent random trees plus a Markov-bursty stream addressed over
-/// the forest's **global** id space, recorded as a
-/// [`Trace`](otc_workloads::trace::Trace) with full provenance. One definition keeps the criterion target
-/// (`benches/trace_replay.rs`) and the JSON recorder
-/// (`bench_trace_replay`) measuring the identical workload — including
-/// the non-obvious global addressing detail: `Tree::star(n)` has `n + 1`
-/// nodes, so a star over `global_len − 1` leaves is exactly the forest's
-/// id space, which `from_trees` forests require (`universe ==
-/// global_len`; a partitioned forest would break that assumption by
-/// replicating roots).
-#[must_use]
-pub fn trace_replay_workload(
-    shards: usize,
-    nodes_per_shard: usize,
-    len: usize,
-    alpha: u64,
-    seed: u64,
-) -> (otc_core::forest::Forest, otc_workloads::trace::Trace) {
-    use otc_core::forest::{Forest, ShardId};
-    use otc_core::tree::Tree;
-    use otc_workloads::trace::{Trace, TraceHeader};
-    use otc_workloads::{markov_bursty, random_attachment, MarkovBurstyConfig};
-
-    let mut rng = otc_util::SplitMix64::new(seed);
-    let trees: Vec<std::sync::Arc<Tree>> = (0..shards)
-        .map(|_| std::sync::Arc::new(random_attachment(nodes_per_shard, &mut rng)))
-        .collect();
-    let forest = Forest::from_trees(trees);
-    let flat = Tree::star(forest.global_len() - 1); // virtual global address space
-    let cfg = MarkovBurstyConfig { len, alpha, ..MarkovBurstyConfig::default() };
-    let requests = markov_bursty(&flat, cfg, &mut rng);
-    let header = TraceHeader {
-        universe: forest.global_len() as u32,
-        shard_map: (0..shards).map(|s| forest.tree(ShardId(s as u32)).len() as u32).collect(),
-        seed,
-        generator: "markov-bursty".to_string(),
-    };
-    (forest, Trace { header, requests })
-}
-
-/// The fixed FIB workload behind `BENCH_engine.json`, shared between the
-/// recorder (`bench_engine`) and the regression gate (`bench_regress`) so
-/// both always measure the identical byte-for-byte stream: 4096-rule
-/// synthetic table, 200k events, Zipf(θ=1.0) popularity, 2% update churn,
-/// α = 4, 256 TCAM entries split evenly across shards.
+/// The fixed FIB workload whose total costs `tests/fib_costs.rs` pins:
+/// 4096-rule synthetic table, 200k events, Zipf(θ=1.0) popularity, 2%
+/// update churn, α = 4, 256 TCAM entries split evenly across shards.
 pub mod fib_baseline {
     use std::sync::Arc;
-    use std::time::Instant;
 
-    use otc_core::forest::ShardId;
-    use otc_core::policy::CachePolicy;
-    use otc_core::tc::{TcConfig, TcFast};
-    use otc_core::tree::Tree;
-    use otc_sdn::{generate_events, run_fib, run_fib_sharded, FibEvent, FibWorkloadConfig};
+    use otc_sdn::{generate_events, FibEvent, FibWorkloadConfig};
     use otc_trie::{hierarchical_table, HierarchicalConfig, RuleTree};
     use otc_util::SplitMix64;
 
@@ -117,7 +71,7 @@ pub mod fib_baseline {
     pub const EVENTS: usize = 200_000;
     /// Rules in the synthetic FIB.
     pub const RULES: usize = 4096;
-    /// Shard counts timed by both binaries.
+    /// Shard counts the sharded pipeline is pinned at.
     pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
     /// Builds the fixed rule table and event stream (seed `0xBE7C`).
@@ -135,84 +89,6 @@ pub mod fib_baseline {
         );
         (rules, events)
     }
-
-    /// Runs `f` `iters` times; returns (best wall seconds, last cost).
-    pub fn time_best<F: FnMut() -> u64>(mut f: F, iters: usize) -> (f64, u64) {
-        let mut best = f64::INFINITY;
-        let mut cost = 0;
-        for _ in 0..iters {
-            let start = Instant::now();
-            cost = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (best, cost)
-    }
-
-    /// Times the classic single-threaded `run_fib` pipeline; returns
-    /// (events/s, total cost).
-    #[must_use]
-    pub fn measure_run_fib(rules: &Arc<RuleTree>, events: &[FibEvent], iters: usize) -> (f64, u64) {
-        let (secs, cost) = time_best(
-            || {
-                let mut tc = TcFast::new(
-                    Arc::new(rules.tree().clone()),
-                    TcConfig::new(ALPHA, TOTAL_CAPACITY),
-                );
-                run_fib(rules, &mut tc, events, ALPHA).total_cost()
-            },
-            iters,
-        );
-        (events.len() as f64 / secs, cost)
-    }
-
-    /// Times the sharded pipeline at `shards` shards (one worker thread per
-    /// shard); returns (events/s, total cost).
-    #[must_use]
-    pub fn measure_sharded(
-        rules: &Arc<RuleTree>,
-        events: &[FibEvent],
-        shards: usize,
-        iters: usize,
-    ) -> (f64, u64) {
-        let capacity = (TOTAL_CAPACITY / shards).max(1);
-        let factory = move |tree: Arc<Tree>, _s: ShardId| {
-            Box::new(TcFast::new(tree, TcConfig::new(ALPHA, capacity))) as Box<dyn CachePolicy>
-        };
-        let (secs, cost) = time_best(
-            || run_fib_sharded(rules, &factory, events, ALPHA, shards, shards).total.total_cost(),
-            iters,
-        );
-        (events.len() as f64 / secs, cost)
-    }
-}
-
-/// Extracts the value of `"key": <integer>` from a JSON fragment. The
-/// workspace has no JSON dependency, and every `BENCH_*.json` is written
-/// by our own recorders with `"key": value` spacing, so a scan for the
-/// quoted key followed by a digit run is exact — this is a reader for our
-/// own stable output format, not a general JSON parser.
-#[must_use]
-pub fn json_u64_field(fragment: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = fragment.find(&needle)? + needle.len();
-    let rest = fragment.get(at..)?.trim_start();
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// Extracts the value of `"key": "string"` from a JSON fragment (same
-/// own-format caveat as [`json_u64_field`]; stops at the closing quote, so
-/// values must not contain escaped quotes — ours never do).
-#[must_use]
-pub fn json_str_field<'a>(fragment: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = fragment.find(&needle)? + needle.len();
-    let rest = fragment.get(at..)?.trim_start().strip_prefix('"')?;
-    let end = rest.find('"')?;
-    rest.get(..end)
 }
 
 /// Converts seconds since the Unix epoch to a `YYYY-MM-DD` UTC date
@@ -248,21 +124,6 @@ mod tests {
         assert_eq!(civil_date_utc(951_868_800), "2000-03-01");
         // 2026-07-26 00:00:00 UTC.
         assert_eq!(civil_date_utc(1_785_024_000), "2026-07-26");
-    }
-
-    #[test]
-    fn json_field_scrapers_read_our_own_format() {
-        let row = "    { \"pipeline\": \"run_fib_sharded\", \"shards\": 4, \"threads\": 4, \
-                   \"events_per_sec\": 8542411, \"total_cost\": 167192 }";
-        assert_eq!(json_u64_field(row, "shards"), Some(4));
-        assert_eq!(json_u64_field(row, "events_per_sec"), Some(8_542_411));
-        assert_eq!(json_u64_field(row, "total_cost"), Some(167_192));
-        assert_eq!(json_str_field(row, "pipeline"), Some("run_fib_sharded"));
-        assert_eq!(json_u64_field(row, "absent"), None);
-        assert_eq!(json_str_field(row, "shards"), None, "numeric value is not a string");
-        let host = "\"host\": { \"nproc\": 8, \"rustc\": \"rustc 1.80.0\" }";
-        assert_eq!(json_u64_field(host, "nproc"), Some(8));
-        assert_eq!(json_str_field(host, "rustc"), Some("rustc 1.80.0"));
     }
 
     #[test]

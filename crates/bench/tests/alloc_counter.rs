@@ -7,6 +7,13 @@
 //! policy/driver up to its high-water mark, snapshots the counter, replays
 //! a long request stream, and checks the counter did not move (or moved by
 //! a small run-constant only).
+//!
+//! The target is harness-free (`harness = false`): `main` runs the checks
+//! one after another on its own thread. Under libtest the counter also saw
+//! the harness's allocations for spawning and reporting other tests, even
+//! with every test serialized behind one mutex, so on a multi-core host
+//! the exact-zero checks failed at random. Cargo's extra arguments (test
+//! filters, `--test-threads`) are ignored.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,7 +72,6 @@ fn flushless_workload(seed: u64, n: usize, len: usize) -> (Arc<Tree>, Vec<Reques
     (tree, reqs)
 }
 
-#[test]
 fn tc_fast_steady_state_steps_do_not_allocate() {
     let (tree, reqs) = flushless_workload(0xA110C, 2048, 60_000);
     let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(4, tree.len()));
@@ -88,7 +94,6 @@ fn tc_fast_steady_state_steps_do_not_allocate() {
     );
 }
 
-#[test]
 fn tc_fast_flush_rounds_do_not_allocate_after_warmup() {
     // Tiny capacity forces frequent flushes; the flush path writes into
     // the same arena, so even flush rounds are allocation-free once the
@@ -108,7 +113,6 @@ fn tc_fast_flush_rounds_do_not_allocate_after_warmup() {
     assert_eq!(allocs() - before, 0, "flush rounds allocated after warm-up");
 }
 
-#[test]
 fn baseline_policies_steady_state_steps_do_not_allocate() {
     let (tree, reqs) = flushless_workload(0xBA5E, 1024, 40_000);
     let mut lru = DependentSetPolicy::lru(Arc::clone(&tree), 64);
@@ -127,7 +131,6 @@ fn baseline_policies_steady_state_steps_do_not_allocate() {
     }
 }
 
-#[test]
 fn bare_drivers_allocate_per_run_not_per_round() {
     // The whole verified pipeline in bare mode: one Report (name string),
     // the driver's mirrors/scratch, and buffer growth — a small constant
@@ -185,7 +188,6 @@ fn flushless_factory(alpha: u64) -> impl Fn(std::sync::Arc<Tree>, ShardId) -> Bo
     }
 }
 
-#[test]
 fn sharded_engine_steady_state_rounds_do_not_allocate_per_shard() {
     // The PR-2 contract, per shard: once every shard's buffers (action
     // buffer, validation scratch, staging queue) reach their high-water
@@ -209,7 +211,6 @@ fn sharded_engine_steady_state_rounds_do_not_allocate_per_shard() {
     );
 }
 
-#[test]
 fn sharded_engine_allocates_o_shards_per_run() {
     // A full engine lifecycle — construction, one parallel batch, report
     // aggregation — allocates O(shards), never O(rounds). The budget is a
@@ -228,7 +229,6 @@ fn sharded_engine_allocates_o_shards_per_run() {
     assert!(used <= budget, "sharded run allocated {used} times for 40k rounds (budget {budget})");
 }
 
-#[test]
 fn trace_replay_steady_state_rounds_do_not_allocate() {
     // The replay path of the trace subsystem: once the replay chunk
     // buffer, the shard queues and the policies' internal spans are warm,
@@ -267,7 +267,6 @@ fn trace_replay_steady_state_rounds_do_not_allocate() {
     assert!(used <= 12, "steady-state replay allocated {used} times for 40k rounds");
 }
 
-#[test]
 fn snapshot_emission_keeps_the_request_path_allocation_free() {
     // The PR-6 durability contract: emitting OTCS snapshots between
     // batches must not disturb the zero-allocation steady state of the
@@ -324,7 +323,6 @@ fn snapshot_emission_keeps_the_request_path_allocation_free() {
     );
 }
 
-#[test]
 fn arena_snapshot_sections_allocate_o1_per_section() {
     // The arena snapshot contract: `save_state` writes every SoA counter
     // section (`cnt`/`slack`/`psize`/hot-values) as one length-prefixed
@@ -362,7 +360,6 @@ fn arena_snapshot_sections_allocate_o1_per_section() {
     assert!(used <= 32 * 32, "32 restores allocated {used} times (O(1) per section violated)");
 }
 
-#[test]
 fn recover_of_arena_engine_does_not_grow_allocations() {
     // Crash-recovery on the arena core: once a recovered engine's buffers
     // are warm, another full `recover` (snapshot restore + tail replay of
@@ -435,7 +432,6 @@ fn recover_of_arena_engine_does_not_grow_allocations() {
     assert!(used <= budget, "warm recover allocated {used} times (budget {budget}, no growth)");
 }
 
-#[test]
 fn obs_histogram_and_counter_records_do_not_allocate() {
     // The invariant-#8 performance half: once a series is registered,
     // the serving hot path's recording sites (`Histogram::record`,
@@ -459,7 +455,6 @@ fn obs_histogram_and_counter_records_do_not_allocate() {
     assert_eq!(snap.count, 100_000);
 }
 
-#[test]
 fn validated_driver_allocates_per_run_not_per_round() {
     // Even with full validation on (the satellite fix: in-place flush
     // comparison + epoch-marked changeset scratch), the per-round cost is
@@ -473,4 +468,31 @@ fn validated_driver_allocates_per_run_not_per_round() {
     let used = allocs() - before;
     assert!(report.flush_events > 0, "workload must exercise the flush-validation path");
     assert!(used <= 50, "validated run_policy allocated {used} times for 30k rounds");
+}
+
+fn main() {
+    macro_rules! named {
+        ($($check:ident),* $(,)?) => { [$((stringify!($check), $check as fn())),*] };
+    }
+    let checks = named![
+        tc_fast_steady_state_steps_do_not_allocate,
+        tc_fast_flush_rounds_do_not_allocate_after_warmup,
+        baseline_policies_steady_state_steps_do_not_allocate,
+        bare_drivers_allocate_per_run_not_per_round,
+        sharded_engine_steady_state_rounds_do_not_allocate_per_shard,
+        sharded_engine_allocates_o_shards_per_run,
+        trace_replay_steady_state_rounds_do_not_allocate,
+        snapshot_emission_keeps_the_request_path_allocation_free,
+        arena_snapshot_sections_allocate_o1_per_section,
+        recover_of_arena_engine_does_not_grow_allocations,
+        obs_histogram_and_counter_records_do_not_allocate,
+        validated_driver_allocates_per_run_not_per_round,
+    ];
+    // libtest's line format, so the checks read like any other suite's.
+    println!("\nrunning {} tests", checks.len());
+    for (name, check) in checks {
+        check();
+        println!("test {name} ... ok");
+    }
+    println!("\ntest result: ok. {} passed; 0 failed\n", checks.len());
 }

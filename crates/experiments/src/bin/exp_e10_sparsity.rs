@@ -89,6 +89,6 @@ fn main() {
     println!("{}", table.to_markdown());
     println!(
         "Reading: cost decreases (weakly) with k; runtime grows with n·k. The\n\
-         criterion bench `offline_dp` repeats the timing with statistical rigour."
+         timings are single wall-clock samples, indicative only."
     );
 }

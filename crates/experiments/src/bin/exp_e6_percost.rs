@@ -115,7 +115,7 @@ fn main() {
         "Reading: the normalised worst case stays O(1) across height- and degree-\n\
          extremal shapes — the Theorem 6.1 envelope. The reference implementation's\n\
          per-request time grows with n while the fast one's does not; the speedup\n\
-         column should widen with n. (Criterion benches in otc-bench repeat this\n\
-         with statistical rigour.)"
+         column should widen with n. (The repository benchmark times TcFast::step\n\
+         on recorded streams as core.step_ns; see benchmark/README.md.)"
     );
 }

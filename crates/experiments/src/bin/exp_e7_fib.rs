@@ -185,8 +185,7 @@ fn main() {
     );
     let mut table = Table::new(["shards", "miss rate", "service", "reorg", "total cost"]);
     // The 4-shard run is additionally *observed*: windowed per-shard
-    // telemetry, recorded to TIMELINE_e7.json for downstream tooling
-    // (`bench_engine` embeds its summary next to the throughput numbers).
+    // telemetry, recorded to TIMELINE_e7.json for plotting tools.
     let window = if smoke { 1024usize } else { 8192 };
     let mut recorded_timeline = None;
     for shards in [1usize, 2, 4, 8] {
@@ -227,8 +226,7 @@ fn main() {
          TCs over a partitioned TCAM), so costs shift slightly with the partition —\n\
          but every row is deterministic and thread-count-independent, and the\n\
          per-shard reports equal independent single-shard runs exactly (pinned by\n\
-         the differential tests). Throughput scaling across shard counts is\n\
-         recorded in BENCH_engine.json by `cargo run -p otc-bench --bin\n\
-         bench_engine`."
+         the differential tests). Sharded throughput is measured by the\n\
+         repository benchmark's fib-sharded workload (benchmark/README.md)."
     );
 }

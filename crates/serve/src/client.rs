@@ -8,8 +8,8 @@
 //! * **pipelined** — [`Client::send`] queues frames without waiting;
 //!   [`Client::wait_acks`] collects the outstanding acknowledgements in
 //!   order. Pipelining keeps the socket and the ingress busy at the same
-//!   time, which is what the `bench_serve` connections × pipelining
-//!   sweep measures.
+//!   time, which is what the repository benchmark's `serve-pipelined`
+//!   workload measures.
 //!
 //! Any server-side rejection arrives as a [`Message::Error`] frame and
 //! surfaces as an `io::Error` of kind `Other` whose text is the server's

@@ -14,10 +14,7 @@
 //! back with `ShardedEngine::timeline()`.
 //!
 //! Export is hand-rolled JSON (`schema: "otc-timeline-v1"`, one window
-//! object per line) and CSV; [`Timeline::from_json`] parses exactly what
-//! [`Timeline::to_json`] emits, which is what lets the experiment
-//! binaries hand timelines to the bench recorder without a JSON
-//! dependency.
+//! object per line) and CSV, for plotting tools.
 
 /// Telemetry counters for one window of one shard.
 ///
@@ -155,11 +152,9 @@ impl Timeline {
     }
 
     /// Renders the timeline as JSON: a `schema`/parameter preamble and one
-    /// window object per line. The format is stable — it is what
-    /// [`Timeline::from_json`] parses — and append-friendly for plotting
-    /// tools (`jq '.windows[]'`). `reorg_cost` and `imbalance_x1000` are
-    /// *derived* fields: emitted for plotting convenience, recomputed
-    /// (never parsed) on the way back in.
+    /// window object per line, append-friendly for plotting tools
+    /// (`jq '.windows[]'`). `reorg_cost` and `imbalance_x1000` are
+    /// *derived* fields, emitted for plotting convenience.
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
@@ -201,72 +196,6 @@ impl Timeline {
         }
         out.push_str("  ]\n}\n");
         out
-    }
-
-    /// Parses the JSON rendering of [`Timeline::to_json`]. Deliberately
-    /// strict: this is a round-trip companion for our own emission (one
-    /// window object per line), not a general JSON parser.
-    ///
-    /// # Errors
-    /// Describes the first malformed line or missing field.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        if !text.contains("\"schema\": \"otc-timeline-v1\"") {
-            return Err("missing or unknown schema marker (want otc-timeline-v1)".to_string());
-        }
-        let field_u64 = |line: &str, key: &str| -> Result<u64, String> {
-            let pat = format!("\"{key}\": ");
-            let at = line.find(&pat).ok_or_else(|| format!("missing field {key:?}"))?;
-            let rest = &line[at + pat.len()..];
-            let end = rest.find([',', ' ', '}', '\n']).unwrap_or(rest.len());
-            rest[..end].parse().map_err(|e| format!("bad {key}: {e}"))
-        };
-        let mut alpha = None;
-        let mut window_rounds = None;
-        let mut shards = None;
-        let mut windows = Vec::new();
-        let mut in_windows = false;
-        for line in text.lines() {
-            let t = line.trim();
-            if t.starts_with("\"windows\"") {
-                in_windows = true;
-                continue;
-            }
-            if !in_windows {
-                if t.starts_with("\"alpha\"") {
-                    alpha = Some(field_u64(t, "alpha")?);
-                } else if t.starts_with("\"window_rounds\"") {
-                    window_rounds = Some(field_u64(t, "window_rounds")?);
-                } else if t.starts_with("\"shards\"") {
-                    shards = Some(field_u64(t, "shards")?);
-                }
-                continue;
-            }
-            if !t.starts_with('{') {
-                continue; // closing brackets
-            }
-            windows.push(WindowRecord {
-                shard: u32::try_from(field_u64(t, "shard")?).map_err(|e| e.to_string())?,
-                window: field_u64(t, "window")?,
-                start_round: field_u64(t, "start_round")?,
-                rounds: field_u64(t, "rounds")?,
-                paid_rounds: field_u64(t, "paid_rounds")?,
-                fetch_events: field_u64(t, "fetch_events")?,
-                evict_events: field_u64(t, "evict_events")?,
-                flush_events: field_u64(t, "flush_events")?,
-                nodes_fetched: field_u64(t, "nodes_fetched")?,
-                nodes_evicted: field_u64(t, "nodes_evicted")?,
-                nodes_flushed: field_u64(t, "nodes_flushed")?,
-                occupancy: field_u64(t, "occupancy")? as usize,
-                buf_high_water: field_u64(t, "buf_high_water")? as usize,
-                partial: t.contains("\"partial\": true"),
-            });
-        }
-        Ok(Self {
-            alpha: alpha.ok_or("missing alpha")?,
-            window_rounds: window_rounds.ok_or("missing window_rounds")?,
-            shards: u32::try_from(shards.ok_or("missing shards")?).map_err(|e| e.to_string())?,
-            windows,
-        })
     }
 
     /// Renders the timeline as CSV (one header row, one row per window).
@@ -358,21 +287,13 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_exact() {
+    fn json_has_one_line_per_window() {
         let tl = sample();
         let json = tl.to_json();
-        assert!(json.contains("otc-timeline-v1"));
-        let back = Timeline::from_json(&json).expect("own emission must parse");
-        assert_eq!(back, tl);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(Timeline::from_json("{}").is_err());
-        assert!(Timeline::from_json("not json at all").is_err());
-        let mut json = sample().to_json();
-        json = json.replace("\"rounds\": 100,", "");
-        assert!(Timeline::from_json(&json).is_err(), "missing field must be reported");
+        assert!(json.contains("\"schema\": \"otc-timeline-v1\""));
+        assert_eq!(json.lines().filter(|l| l.trim_start().starts_with("{ \"shard\"")).count(), 2);
+        assert!(json.contains("\"rounds\": 100, \"paid_rounds\": 40,"));
+        assert!(json.contains("\"partial\": true }\n"));
     }
 
     #[test]
@@ -396,8 +317,6 @@ mod tests {
         let csv = tl.to_csv();
         assert!(csv.lines().next().unwrap().ends_with("imbalance_x1000,partial"));
         assert!(csv.lines().nth(1).unwrap().contains(",1339,false"));
-        // The derived column never breaks the strict round trip.
-        assert_eq!(Timeline::from_json(&json).expect("parses"), tl);
         // Perfectly balanced loads sit at exactly 1000.
         let mut even = tl.clone();
         even.windows[1] = WindowRecord { shard: 1, rounds: 100, paid_rounds: 40, ..tl.windows[0] };

@@ -9,8 +9,8 @@
 //!   diurnal (per-shard Zipf skew, globally addressed for the sharded
 //!   engine);
 //! * [`trace`] — persistent workload traces: the versioned binary format
-//!   with streaming [`trace::TraceWriter`] / [`trace::TraceReader`], the
-//!   human-editable line format, and CSV/JSONL interop;
+//!   with streaming [`trace::TraceWriter`] / [`trace::TraceReader`], and
+//!   the human-editable line format;
 //! * [`rebalance`] — the rebalance-record codec: per-boundary cell loads
 //!   and migration decisions, interleavable with requests in a
 //!   [`trace::TRACE_FLAG_REBALANCE`]-flagged trace so a live run's

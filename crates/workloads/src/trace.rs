@@ -1,6 +1,6 @@
 //! Persistent workload traces.
 //!
-//! Three interchangeable encodings of one thing — a request sequence with
+//! Two interchangeable encodings of one thing — a request sequence with
 //! provenance — so any workload can be recorded once and replayed
 //! bit-identically across processes and machines:
 //!
@@ -11,10 +11,7 @@
 //!   what `ShardedEngine::replay_trace` consumes for file-backed replay
 //!   without materialising the whole sequence;
 //! * the **line format** (`+17` / `-4`, comments and blanks ignored) —
-//!   human-editable, accepted directly by `ShardedEngine::submit_trace`;
-//! * **CSV / JSONL interop** ([`to_csv`]/[`from_csv`],
-//!   [`to_jsonl`]/[`from_jsonl`]) for external tooling (spreadsheets,
-//!   `jq`, pandas).
+//!   human-editable, accepted directly by `ShardedEngine::submit_trace`.
 //!
 //! The binary layout is specified normatively in `DESIGN.md` ("The trace
 //! format"). All multi-byte integers are **little-endian**; requests are
@@ -44,7 +41,7 @@
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
-use otc_core::request::{Request, Sign};
+use otc_core::request::Request;
 use otc_core::tree::NodeId;
 
 use crate::rebalance::RebalanceRecord;
@@ -778,120 +775,6 @@ pub fn from_text(text: &str) -> Result<Vec<Request>, String> {
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// CSV / JSONL interop.
-
-/// Renders a request sequence as CSV (`round,sign,node` with a header
-/// row) for spreadsheets and dataframe tooling.
-#[must_use]
-pub fn to_csv(requests: &[Request]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(requests.len() * 10 + 16);
-    out.push_str("round,sign,node\n");
-    for (i, r) in requests.iter().enumerate() {
-        let sign = crate::wire::sign_char(r.sign);
-        // fmt::Write to a String is infallible; discard the Ok(()).
-        let _ = writeln!(out, "{i},{sign},{}", r.node.0);
-    }
-    out
-}
-
-/// Parses the CSV rendering of [`to_csv`] (header row required; the
-/// `round` column is ignored, order is positional).
-///
-/// # Errors
-/// Reports the first malformed row (1-based line number included).
-pub fn from_csv(text: &str) -> Result<Vec<Request>, String> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, header)) if header.trim() == "round,sign,node" => {}
-        Some((_, header)) => return Err(format!("bad CSV header {header:?}")),
-        None => return Ok(Vec::new()),
-    }
-    let mut out = Vec::new();
-    for (lineno, raw) in lines {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut cols = line.split(',');
-        let (Some(_round), Some(sign), Some(node), None) =
-            (cols.next(), cols.next(), cols.next(), cols.next())
-        else {
-            return Err(format!("line {}: expected 3 columns, got {line:?}", lineno + 1));
-        };
-        let sign = crate::wire::parse_sign(sign.trim())
-            .ok_or_else(|| format!("line {}: bad sign {:?}", lineno + 1, sign.trim()))?;
-        let id: u32 = node
-            .trim()
-            .parse()
-            .map_err(|e| format!("line {}: bad node id {node:?}: {e}", lineno + 1))?;
-        out.push(Request { node: NodeId(id), sign });
-    }
-    Ok(out)
-}
-
-/// Renders a request sequence as JSON Lines: one
-/// `{"node":17,"sign":"+"}` object per line.
-#[must_use]
-pub fn to_jsonl(requests: &[Request]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(requests.len() * 24);
-    for r in requests {
-        let sign = crate::wire::sign_char(r.sign);
-        // fmt::Write to a String is infallible; discard the Ok(()).
-        let _ = writeln!(out, "{{\"node\":{},\"sign\":\"{sign}\"}}", r.node.0);
-    }
-    out
-}
-
-/// Parses the JSONL rendering of [`to_jsonl`] (field order free, blank
-/// lines skipped).
-///
-/// # Errors
-/// Reports the first malformed line (1-based line number included).
-pub fn from_jsonl(text: &str) -> Result<Vec<Request>, String> {
-    let mut out = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let inner = line
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| format!("line {}: not a JSON object: {line:?}", lineno + 1))?;
-        let mut node: Option<u32> = None;
-        let mut sign: Option<Sign> = None;
-        for field in inner.split(',') {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| format!("line {}: bad field {field:?}", lineno + 1))?;
-            match key.trim().trim_matches('"') {
-                "node" => {
-                    node =
-                        Some(value.trim().parse().map_err(|e| {
-                            format!("line {}: bad node id {value:?}: {e}", lineno + 1)
-                        })?);
-                }
-                "sign" => {
-                    let raw = value.trim().trim_matches('"');
-                    sign = Some(
-                        crate::wire::parse_sign(raw)
-                            .ok_or_else(|| format!("line {}: bad sign {raw:?}", lineno + 1))?,
-                    );
-                }
-                other => return Err(format!("line {}: unknown field {other:?}", lineno + 1)),
-            }
-        }
-        let (Some(node), Some(sign)) = (node, sign) else {
-            return Err(format!("line {}: missing node or sign", lineno + 1));
-        };
-        out.push(Request { node: NodeId(node), sign });
-    }
-    Ok(out)
-}
-
 /// Validates that every request in a trace targets a node of the tree.
 ///
 /// # Errors
@@ -1136,9 +1019,7 @@ mod tests {
     #[test]
     fn seek_to_replays_only_the_tail() {
         let header = TraceHeader::single_tree(1 << 10, 0, "seek");
-        let reqs: Vec<Request> = (0..50u32)
-            .map(|i| Request { node: NodeId(i * 7 % 1000), sign: Sign::Positive })
-            .collect();
+        let reqs: Vec<Request> = (0..50u32).map(|i| Request::pos(NodeId(i * 7 % 1000))).collect();
         let bytes = Trace { header, requests: reqs.clone() }.to_bytes();
         // Read a prefix, remember the position.
         let mut r = TraceReader::new(io::Cursor::new(&bytes)).unwrap();
@@ -1424,29 +1305,5 @@ mod tests {
                 TraceEvent::Rebalance(sample_record(2)),
             ]
         );
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let reqs = sample();
-        let csv = to_csv(&reqs);
-        assert!(csv.starts_with("round,sign,node\n"));
-        assert_eq!(from_csv(&csv).unwrap(), reqs);
-        assert!(from_csv("nope\n1,+,2\n").is_err());
-        assert!(from_csv("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn jsonl_round_trip() {
-        let reqs = sample();
-        let jsonl = to_jsonl(&reqs);
-        assert_eq!(from_jsonl(&jsonl).unwrap(), reqs);
-        // Field order is free.
-        assert_eq!(
-            from_jsonl("{\"sign\":\"-\",\"node\":5}\n").unwrap(),
-            vec![Request::neg(NodeId(5))]
-        );
-        assert!(from_jsonl("{\"node\":1}\n").is_err());
-        assert!(from_jsonl("[1,2]\n").is_err());
     }
 }

@@ -10,8 +10,8 @@
 //!   request payload — factoring it here is what guarantees a live
 //!   service's log replays through the exact bytes-level format the
 //!   offline tooling reads;
-//! * the **sign character** `'+'` / `'-'` shared by the line format, CSV
-//!   and JSONL interop ([`crate::trace`]).
+//! * the **sign character** `'+'` / `'-'` of the line format
+//!   ([`crate::trace`]).
 //!
 //! Decoding is strict: continuation chains past 64 bits, payload bits
 //! shifted out of the top of the `u64`, and node ids overflowing `u32`

@@ -1,16 +1,12 @@
 //! Property tests for the request-trace serialization seams: the
-//! human-editable line format (`to_text` / `from_text`), the CSV/JSONL
-//! interop, and the **binary** format (`Trace::save` / `Trace::load`) the
-//! engine replays from files — round trips must be exact for arbitrary
-//! request sequences and corrupt headers must be rejected, never
-//! misparsed.
+//! human-editable line format (`to_text` / `from_text`) and the **binary**
+//! format (`Trace::save` / `Trace::load`) the engine replays from files —
+//! round trips must be exact for arbitrary request sequences and corrupt
+//! headers must be rejected, never misparsed.
 
 use otc_core::request::{Request, Sign};
 use otc_core::tree::NodeId;
-use otc_workloads::trace::{
-    from_csv, from_jsonl, from_text, to_csv, to_jsonl, to_text, validate_for_tree, Trace,
-    TraceHeader,
-};
+use otc_workloads::trace::{from_text, to_text, validate_for_tree, Trace, TraceHeader};
 use proptest::prelude::*;
 
 fn requests_from(seeds: &[(u32, bool)]) -> Vec<Request> {
@@ -144,14 +140,5 @@ proptest! {
             // The declared record count makes any truncation detectable.
             prop_assert!(Trace::from_bytes(&bytes[..bytes.len() - cut]).is_err());
         }
-    }
-
-    #[test]
-    fn csv_and_jsonl_round_trips_are_exact(
-        seeds in prop::collection::vec((any::<u32>(), any::<bool>()), 0..300),
-    ) {
-        let reqs = requests_from(&seeds);
-        prop_assert_eq!(from_csv(&to_csv(&reqs)).map_err(TestCaseError::fail)?, reqs.clone());
-        prop_assert_eq!(from_jsonl(&to_jsonl(&reqs)).map_err(TestCaseError::fail)?, reqs);
     }
 }

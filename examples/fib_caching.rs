@@ -99,6 +99,7 @@ fn main() {
     }
     println!(
         "\nEach shard is verified independently and deterministically (thread count\n\
-         never changes a number); throughput scaling lives in BENCH_engine.json."
+         never changes a number); throughput is measured by the fib-sharded\n\
+         workload of the repository benchmark (benchmark/README.md)."
     );
 }
