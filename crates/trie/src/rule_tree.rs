@@ -11,8 +11,12 @@
 //!
 //! Node `i` of the produced [`otc_core::Tree`] corresponds to
 //! `RuleTree::prefixes()[i]`; the root is node 0 (the default route).
-
-use std::collections::BTreeMap;
+//!
+//! LMP is a binary search over a flat interval table. The rules cut the
+//! 32-bit address space into maximal intervals with one fixed LMP answer
+//! each; `starts` holds the sorted interval starts and `owner` the answer
+//! per interval. One sweep over the rules in address order builds both the
+//! table and the parent links, keeping a stack of the open, nested rules.
 
 use otc_core::tree::{NodeId, Tree};
 
@@ -38,22 +42,15 @@ use crate::prefix::Prefix;
 #[derive(Debug, Clone)]
 pub struct RuleTree {
     tree: Tree,
+    /// Rules by node id, sorted by `(len, addr)`: [`Self::node_of`] is a
+    /// binary search.
     prefixes: Vec<Prefix>,
-    /// Prefix → node id, for exact-prefix lookups ([`Self::node_of`]).
-    /// Ordered map: membership-only today, but keeping it un-iterable-in-
-    /// hash-order means no future change can leak RandomState into costs.
-    by_prefix: BTreeMap<Prefix, NodeId>,
-    /// Flat binary LMP trie: per trie node, the two children (`TRIE_NONE`
-    /// when absent). Trie node 0 is the `/0` root; an address walk follows
-    /// its bits MSB-first through this array.
-    trie_child: Vec<[u32; 2]>,
-    /// Per trie node, the rule at exactly this prefix (`TRIE_NONE` for
-    /// pure branch nodes).
-    trie_rule: Vec<u32>,
+    /// Sorted starts of the LMP intervals; `starts[0] == 0`. Interval `k`
+    /// runs up to `starts[k + 1]` (the last one to the end of the space).
+    starts: Vec<u32>,
+    /// The LMP rule (node id) of each interval.
+    owner: Vec<u32>,
 }
-
-/// Absent child / no rule marker of the flat LMP trie.
-const TRIE_NONE: u32 = u32::MAX;
 
 impl RuleTree {
     /// Builds the dependency tree from a rule set. Duplicates are removed;
@@ -68,55 +65,39 @@ impl RuleTree {
         // and the default route is node 0.
         debug_assert_eq!(prefixes[0], Prefix::ROOT);
 
-        let by_prefix: BTreeMap<Prefix, NodeId> =
-            prefixes.iter().enumerate().map(|(i, &p)| (p, NodeId(i as u32))).collect();
+        // Address order, outer rules before the inner ones sharing their
+        // start: every rule comes after all rules containing it.
+        let mut order: Vec<usize> = (0..prefixes.len()).collect();
+        order.sort_unstable_by_key(|&i| (prefixes[i].range_start(), prefixes[i].len()));
 
-        let parents: Vec<Option<usize>> = prefixes
-            .iter()
-            .map(|&p| {
-                if p == Prefix::ROOT {
-                    return None;
+        // One sweep with a stack of open rules, each containing the next.
+        // A rule's parent is the stack top when it is pushed; a push starts
+        // an interval owned by the pushed rule, and a pop starts one owned
+        // by the rule beneath, at the popped rule's end.
+        let mut parents: Vec<Option<usize>> = vec![None; prefixes.len()];
+        let (mut starts, mut owner) = (Vec::new(), Vec::new());
+        let mut stack: Vec<usize> = Vec::new();
+        for next in order.iter().map(Some).chain([None]) {
+            // Close the open rules that do not contain `next` (all at the end).
+            while let Some(&top) = stack.last() {
+                let closed = prefixes[top];
+                if next.is_some_and(|&i| closed.contains(prefixes[i])) {
+                    break;
                 }
-                // Longest proper prefix present in the table: walk shorter
-                // lengths until a hit; the default route guarantees
-                // termination.
-                let mut q = p.shorten().expect("non-root has a shorter form");
-                loop {
-                    if let Some(id) = by_prefix.get(&q) {
-                        return Some(id.index());
-                    }
-                    q = q.shorten().expect("default route terminates the walk");
+                stack.pop();
+                if let Some(&beneath) = stack.last() {
+                    let end = u64::from(closed.range_start()) + closed.address_count();
+                    open_interval(&mut starts, &mut owner, end, beneath);
                 }
-            })
-            .collect();
-
-        let tree = Tree::from_parents(&parents);
-
-        // Flat binary LMP trie: insert every rule's bit path, creating
-        // branch nodes on demand. Contiguous arrays (no per-node boxes), so
-        // a lookup is a short run of indexed loads.
-        let mut trie_child: Vec<[u32; 2]> = vec![[TRIE_NONE; 2]];
-        let mut trie_rule: Vec<u32> = vec![TRIE_NONE];
-        for (i, p) in prefixes.iter().enumerate() {
-            let mut node = 0usize;
-            for b in 0..p.len() {
-                let bit = ((p.addr() >> (31 - b)) & 1) as usize;
-                let next = trie_child[node][bit];
-                let next = if next == TRIE_NONE {
-                    let id = trie_child.len() as u32;
-                    trie_child.push([TRIE_NONE; 2]);
-                    trie_rule.push(TRIE_NONE);
-                    trie_child[node][bit] = id;
-                    id
-                } else {
-                    next
-                };
-                node = next as usize;
             }
-            trie_rule[node] = i as u32;
+            let Some(&i) = next else { break };
+            parents[i] = stack.last().copied();
+            stack.push(i);
+            open_interval(&mut starts, &mut owner, u64::from(prefixes[i].range_start()), i);
         }
 
-        Self { tree, prefixes, by_prefix, trie_child, trie_rule }
+        let tree = Tree::from_parents(&parents);
+        Self { tree, prefixes, starts, owner }
     }
 
     /// The dependency tree (node 0 = default route).
@@ -146,7 +127,7 @@ impl RuleTree {
     /// Node id of an exact prefix, if present.
     #[must_use]
     pub fn node_of(&self, p: Prefix) -> Option<NodeId> {
-        self.by_prefix.get(&p).copied()
+        self.prefixes.binary_search(&p).ok().map(|i| NodeId(i as u32))
     }
 
     /// Number of rules (including the default route).
@@ -162,25 +143,11 @@ impl RuleTree {
     }
 
     /// Longest-matching-prefix lookup: the most specific rule containing
-    /// `addr`. One MSB-first walk down the flat binary trie — at most 32
-    /// indexed loads, no map probes — remembering the last rule passed.
+    /// `addr`. A binary search for the interval holding `addr`.
     #[must_use]
     pub fn lmp(&self, addr: u32) -> NodeId {
-        let mut node = 0usize;
-        let mut best = 0u32; // the default route matches every address
-        for b in 0..32 {
-            let bit = ((addr >> (31 - b)) & 1) as usize;
-            let next = self.trie_child[node][bit];
-            if next == TRIE_NONE {
-                break;
-            }
-            node = next as usize;
-            let rule = self.trie_rule[node];
-            if rule != TRIE_NONE {
-                best = rule;
-            }
-        }
-        NodeId(best)
+        // `starts[0] == 0`, so the interval index is never negative.
+        NodeId(self.owner[self.starts.partition_point(|&s| s <= addr) - 1])
     }
 
     /// Reference LMP by linear scan — O(n), used to validate [`Self::lmp`].
@@ -228,6 +195,23 @@ impl RuleTree {
             hist[self.tree.depth(v) as usize] += 1;
         }
         hist
+    }
+}
+
+/// Starts an LMP interval owned by `rule` at address `start`. A later
+/// interval at the same start replaces the earlier one; one with the same
+/// owner as the interval before it merges into it; a start at `2^32` (the
+/// end of the address space) opens nothing.
+fn open_interval(starts: &mut Vec<u32>, owner: &mut Vec<u32>, start: u64, rule: usize) {
+    let Ok(start) = u32::try_from(start) else { return };
+    let rule = rule as u32;
+    if starts.last() == Some(&start) {
+        starts.pop();
+        owner.pop();
+    }
+    if owner.last() != Some(&rule) {
+        starts.push(start);
+        owner.push(rule);
     }
 }
 
@@ -289,6 +273,8 @@ mod tests {
         // 192.168.0.0/16 attaches directly to the default route.
         let m16 = rt.node_of(p("192.168.0.0/16")).unwrap();
         assert_eq!(t.parent(m16), Some(NodeId(0)));
+        // A rule's address at a length no rule has is absent.
+        assert_eq!(rt.node_of(p("10.1.0.0/24")), None);
     }
 
     #[test]
@@ -359,6 +345,9 @@ mod tests {
         let parent = rt.node_of(p("10.0.0.0/30")).unwrap();
         let mut rng = otc_util::SplitMix64::new(3);
         assert_eq!(rt.sample_addr_for(parent, &mut rng, 256), None);
+        for a in 0x09FF_FFFFu32..=0x0A00_0004 {
+            assert_eq!(rt.lmp(a), rt.lmp_linear(a), "addr {a:#x}");
+        }
     }
 
     #[test]
@@ -373,6 +362,16 @@ mod tests {
     fn empty_input_gives_root_only() {
         let rt = RuleTree::build(&[]);
         assert_eq!(rt.len(), 1);
-        assert_eq!(rt.lmp(12345), NodeId(0));
+        assert_eq!([rt.lmp(0), rt.lmp(12345), rt.lmp(u32::MAX)], [NodeId(0); 3]);
+    }
+
+    #[test]
+    fn host_route_at_the_top_of_the_space() {
+        // The /32's interval ends at 2^32, so no interval follows it.
+        let rt = RuleTree::build(&[p("255.0.0.0/8"), p("255.255.255.255/32")]);
+        for a in [0, 0xFEFF_FFFF, 0xFF00_0000, 0xFFFF_FFFE, u32::MAX] {
+            assert_eq!(rt.lmp(a), rt.lmp_linear(a), "addr {a:#x}");
+        }
+        assert_eq!(rt.prefix(rt.lmp(u32::MAX)), p("255.255.255.255/32"));
     }
 }

@@ -29,7 +29,7 @@ pub mod stats;
 pub mod table;
 pub mod zipf;
 
-pub use par::{parallel_map, parallel_map_mut, parallel_map_threads};
+pub use par::{parallel_map, parallel_map_mut};
 pub use rng::SplitMix64;
 pub use stats::{OnlineStats, Summary};
 pub use table::Table;

@@ -25,7 +25,7 @@ use std::sync::Mutex;
 ///
 /// # Panics
 /// Propagates panics from `f` (the scope joins all workers first).
-pub fn parallel_map_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
+fn parallel_map_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -64,7 +64,7 @@ where
 
 /// Applies `f` to every item **in place** on `threads` worker threads and
 /// returns the results in input order. The mutable sibling of
-/// [`parallel_map_threads`]: each worker owns a contiguous chunk of the
+/// [`parallel_map`]: each worker owns a contiguous chunk of the
 /// slice, so `f` gets `(index, &mut T)` with no locking on the items
 /// themselves (results are handed back through a mutex exactly once per
 /// item).
@@ -113,7 +113,10 @@ where
         .collect()
 }
 
-/// [`parallel_map_threads`] with `threads = available_parallelism()`.
+/// Applies `f` to every item on `available_parallelism()` worker threads
+/// and returns the results in input order. Work is handed out one item at
+/// a time through an atomic ticket counter, so uneven items balance
+/// themselves; a single item or a single-CPU host runs sequentially.
 ///
 /// ```
 /// let squares = otc_util::parallel_map((0u64..100).collect(), |&x| x * x);
