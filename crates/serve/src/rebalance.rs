@@ -23,7 +23,9 @@
 //! ingress pushes **all** `MigrateOut` markers before **any** `Install`
 //! marker, so per-ring FIFO guarantees every group serializes its
 //! outgoing cells before it can block waiting for an incoming one.
-//! `server.rs` documents the full protocol.
+//! That argument needs each cell to migrate at most once per boundary,
+//! so a decision is first collapsed into one net move per cell
+//! (`net_moves`). `server.rs` documents the full protocol.
 
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -107,6 +109,43 @@ pub fn initial_table(cells: usize, groups: u32) -> Result<RoutingTable, RouteErr
     }
     let owners = (0..cells).map(|i| u32::try_from(i).unwrap_or(u32::MAX) % groups).collect();
     RoutingTable::new(owners, groups)
+}
+
+/// Collapses one boundary's decided `(cell, destination)` moves into
+/// the migrations the live service executes: one `(cell, source,
+/// destination)` per cell, the source being the cell's owner in
+/// `owners_before` and the destination its owner after the last of its
+/// moves. Cells that end where they started are dropped; the rest keep
+/// the order of their first move.
+///
+/// [`otc_sim::rebalance::plan`] is greedy over a simulated placement, so
+/// one decision can move a cell twice (A→B, then B→C). Executing those
+/// moves one by one cannot work live: the second `MigrateOut` would
+/// reach a group that no longer hosts the cell (or, with the current
+/// owner as source, arrive before that group's `Install`). The net
+/// moves reach the same placement as applying the logged record, which
+/// stays the source of truth for replay.
+///
+/// # Errors
+/// A move of a cell outside `owners_before`.
+pub(crate) fn net_moves(
+    owners_before: &[u32],
+    moves: &[(u32, u32)],
+) -> Result<Vec<(u32, u32, u32)>, String> {
+    let mut net: Vec<(u32, u32, u32)> = Vec::with_capacity(moves.len());
+    for &(cell, dst) in moves {
+        // A plan is at most `max_moves` long: a linear scan beats a map.
+        if let Some(m) = net.iter_mut().find(|m| m.0 == cell) {
+            m.2 = dst;
+            continue;
+        }
+        let Some(&src) = owners_before.get(cell as usize) else {
+            return Err(format!("planned move of unknown cell {cell}"));
+        };
+        net.push((cell, src, dst));
+    }
+    net.retain(|&(_, src, dst)| src != dst);
+    Ok(net)
 }
 
 /// One boundary's load sample, shared by every group ring. Each group
@@ -230,6 +269,7 @@ mod tests {
     use otc_core::Request;
     use otc_sim::engine::{EngineConfig, ShardedEngine};
     use otc_util::SplitMix64;
+    use proptest::prelude::*;
 
     fn factory(tree: Arc<Tree>, _s: ShardId) -> Box<dyn CachePolicy> {
         Box::new(TcFast::new(tree, TcConfig::new(2, 3)))
@@ -350,5 +390,90 @@ mod tests {
         handoff.offer(Err("nothing to move".to_string()));
         let got = taker.join().expect("no panic");
         assert_eq!(got.err().as_deref(), Some("nothing to move"));
+    }
+
+    /// The plan that poisoned a live `max_moves(4)` service: cell 3
+    /// moves 2→3 and later 3→1, cell 1 moves 0→3. Live execution must
+    /// migrate cell 3 once, straight from group 2 to group 1.
+    #[test]
+    fn net_moves_collapse_a_cell_moved_twice() {
+        let owners = vec![0, 0, 2, 2, 1, 2];
+        let table = RoutingTable::new(owners.clone(), 4).expect("valid");
+        let weights = [577, 635, 503, 523, 573, 405];
+        let cfg = RebalanceConfig::new(100).max_moves(4);
+        let moves: Vec<(u32, u32)> = otc_sim::plan(&weights, &[0; 6], &table, &cfg)
+            .into_iter()
+            .map(|(c, g)| (c.0, g))
+            .collect();
+        assert_eq!(moves, vec![(3, 3), (1, 3), (3, 1)], "the greedy plan moves cell 3 twice");
+        assert_eq!(net_moves(&owners, &moves), Ok(vec![(3, 2, 1), (1, 0, 3)]));
+        // A cell that comes home is no migration at all.
+        assert_eq!(net_moves(&owners, &[(4, 0), (4, 1)]), Ok(vec![]));
+        assert!(net_moves(&owners, &[(6, 0)]).is_err(), "unknown cell");
+    }
+
+    /// Checks one decision's net moves against applying the decision
+    /// move by move: the same final placement, each migration starting
+    /// at the cell's pre-boundary owner, no cell touched twice, no
+    /// self-move. A decision with no repeated cell and no self-move
+    /// must execute exactly as decided.
+    fn check_net_moves(
+        owners: &[u32],
+        groups: u32,
+        moves: &[(u32, u32)],
+    ) -> Result<(), TestCaseError> {
+        let mut recorded = RoutingTable::new(owners.to_vec(), groups).expect("valid");
+        let decided: Vec<(ShardId, u32)> = moves.iter().map(|&(c, g)| (ShardId(c), g)).collect();
+        recorded.apply(&decided).expect("moves of known cells to known groups");
+        let net = net_moves(owners, moves).expect("moves of known cells");
+        let mut live = owners.to_vec();
+        let mut touched = std::collections::BTreeSet::new();
+        for &(cell, src, dst) in &net {
+            prop_assert!(touched.insert(cell), "cell {} migrates twice", cell);
+            prop_assert!(src != dst, "self-move of cell {}", cell);
+            prop_assert_eq!(src, owners[cell as usize], "source is the prior owner");
+            live[cell as usize] = dst;
+        }
+        prop_assert_eq!(&live[..], recorded.owners());
+        let distinct: std::collections::BTreeSet<u32> = moves.iter().map(|m| m.0).collect();
+        if distinct.len() == moves.len() && moves.iter().all(|&(c, g)| owners[c as usize] != g) {
+            let as_decided: Vec<(u32, u32)> = net.iter().map(|&(c, _, g)| (c, g)).collect();
+            prop_assert_eq!(as_decided, moves.to_vec());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Net moves hold their contract on random planner decisions and
+        /// on arbitrary move lists. The planner repeats a cell in well
+        /// under 1% of decisions, so the arbitrary lists are what
+        /// exercise repeats, returns home and self-moves.
+        #[test]
+        fn net_moves_reach_the_recorded_placement(
+            groups in 2u32..6,
+            extra_cells in 0usize..5,
+            seed in any::<u64>(),
+            max_moves in 1usize..9,
+            threshold in 1000u64..1600,
+        ) {
+            let cells = groups as usize + extra_cells;
+            let mut rng = SplitMix64::new(seed);
+            let owners: Vec<u32> = (0..cells).map(|_| rng.index(groups as usize) as u32).collect();
+            let weights: Vec<u64> = (0..cells).map(|_| rng.index(1000) as u64).collect();
+            let occupancy: Vec<u64> = (0..cells).map(|_| rng.index(8) as u64).collect();
+            let table = RoutingTable::new(owners.clone(), groups).expect("valid");
+            let cfg = RebalanceConfig::new(100).threshold_x1000(threshold).max_moves(max_moves);
+            let plan: Vec<(u32, u32)> = otc_sim::plan(&weights, &occupancy, &table, &cfg)
+                .into_iter()
+                .map(|(c, g)| (c.0, g))
+                .collect();
+            check_net_moves(&owners, groups, &plan)?;
+            let arbitrary: Vec<(u32, u32)> = (0..max_moves)
+                .map(|_| (rng.index(cells) as u32, rng.index(groups as usize) as u32))
+                .collect();
+            check_net_moves(&owners, groups, &arbitrary)?;
+        }
     }
 }

@@ -14,6 +14,10 @@
 //! * One **acceptor** thread hands connections to per-connection threads.
 //! * Each **connection** thread speaks the wire protocol and pushes
 //!   accepted batches through the single **ingress** critical section.
+//!   Ingress stages each frame's requests into one run per group and
+//!   hands every run over with a single [`ring::Sender::send_batch`]:
+//!   one ring lock and one worker wake-up per group per frame, not per
+//!   request.
 //! * One persistent **group** thread per serving group owns a set of
 //!   [`otc_sim::worker::ShardWorker`] cells, fed by a bounded
 //!   [`otc_util::ring::channel`] — a full queue blocks ingress
@@ -32,7 +36,10 @@
 //! [`otc_sim::Rebalancer::on_boundary`] (a pure function of the logged
 //! stream), the decision is appended to the OTCT log as a
 //! `RebalanceRecord`, and the moves are executed as `MigrateOut` /
-//! `Install` marker pairs: **all** `MigrateOut`s are enqueued before
+//! `Install` marker pairs, one pair per cell whose owner changed (the
+//! greedy planner may move a cell twice in one decision; live, it
+//! migrates once, from its owner before the boundary to its owner
+//! after it). **All** `MigrateOut`s are enqueued before
 //! **any** `Install`, so per-ring FIFO guarantees every group serializes
 //! its outgoing cells before it can block on an incoming handoff — no
 //! rendezvous cycle. Ingress does not wait for installs: a post-boundary
@@ -45,8 +52,13 @@
 //! **The determinism seam.** The ingress lock makes "append to the OTCT
 //! log" and "enqueue to the shard rings" one atomic step, so the
 //! per-shard projection of the logged global order is exactly the FIFO
-//! order each worker consumes. Per-shard cost is a function of per-shard
-//! request order only (shards are independent), therefore the live
+//! order each worker consumes. Staging does not loosen this: a request
+//! is logged when it is appended to its group's run, every run is
+//! flushed before the lock is released, and the runs are also flushed
+//! before any marker is enqueued (a rebalance `Probe`, a snapshot
+//! `Cut`), so each marker still follows exactly the prefix it
+//! addresses. Per-shard cost is a function of per-shard request order
+//! only (shards are independent), therefore the live
 //! service's per-shard [`Report`]s — and their aggregate — are
 //! **bit-identical** to `ShardedEngine::replay_trace` of the logged
 //! trace, at any shard count, client count and interleaving. Workers run
@@ -78,7 +90,7 @@ use otc_workloads::trace::{
 };
 
 use crate::obs::{DrainHooks, ServeMetrics};
-use crate::rebalance::{detach_cell, install_cell, Handoff, Probe, RebalancePolicy};
+use crate::rebalance::{detach_cell, install_cell, net_moves, Handoff, Probe, RebalancePolicy};
 use crate::wire::{self, Message, ServeStats, WIRE_VERSION};
 
 /// Where (and whether) the server logs the accepted request stream as an
@@ -202,9 +214,12 @@ pub struct RebalanceSummary {
     /// Final placement: `owners[cell]` is the group that hosted the cell
     /// at shutdown.
     pub owners: Vec<u32>,
-    /// Cell migrations executed (total moves across all boundaries;
-    /// exact across a [`Server::resume`] — the moves in the recovered
-    /// prefix are counted, not re-executed).
+    /// Cell moves decided: the total moves in the logged rebalance
+    /// records across all boundaries, so it matches a replay of the log
+    /// and stays exact across a [`Server::resume`] (the moves in the
+    /// recovered prefix are counted, not re-executed). A cell the
+    /// planner moved twice in one decision migrates once live but counts
+    /// twice here.
     pub migrations: u64,
 }
 
@@ -225,6 +240,17 @@ pub struct ResumeOutcome {
     /// the surviving log, or incompatible with the engine).
     pub snapshots_skipped: u64,
 }
+
+/// Initial capacity of a [`TraceLog::Memory`] log buffer, which then
+/// grows to hold the whole log. `realloc` keeps a block in the malloc
+/// arena it came from. Starting empty, the buffer's first block is the
+/// few bytes of the OTCT header, and glibc serves blocks that small from
+/// the starting thread's cache of freed blocks, which may belong to any
+/// thread's arena. A process that starts many servers then leaves a
+/// grown log's worth of free memory resident in arena after arena. A
+/// first block this large bypasses that cache, so the buffer always
+/// lives in the starting thread's own arena.
+const MEMORY_LOG_INITIAL: usize = 64 * 1024;
 
 /// The trace sink behind the ingress lock.
 enum TraceSink {
@@ -295,7 +321,8 @@ enum Cmd {
     /// This group gains the cell: block on the handoff and install it.
     Install(u32, Arc<Handoff>),
     /// Ring-wait sample (only ever enqueued with metrics on): the worker
-    /// records how long the stamp sat in the ring and does nothing else —
+    /// records how long ago ingress staged the stamp (the rest of the
+    /// frame's staging plus the time in the ring) and does nothing else —
     /// unlike every other marker it does **not** flush the buffered run,
     /// so it is invisible to batching and to state.
     Stamp(Stamp),
@@ -316,8 +343,13 @@ struct Cut {
 /// module docs for why log + enqueue must be one atomic step).
 struct Ingress {
     senders: Option<Vec<ring::Sender<Cmd>>>,
+    /// Per-group runs staged by the current [`Shared::ingest`] call and
+    /// delivered with one `send_batch` per group; empty between calls.
+    /// They start empty and keep their capacity, so each grows to the
+    /// largest frame's share once.
+    runs: Vec<Vec<Cmd>>,
     sink: Option<TraceSink>,
-    /// Requests enqueued per group over the service lifetime.
+    /// Requests delivered per group over the service lifetime.
     enqueued: Vec<u64>,
     /// Requests accepted in total.
     accepted: u64,
@@ -325,7 +357,7 @@ struct Ingress {
     /// routing table; living under the ingress lock is what makes
     /// "route at the current epoch" atomic with the enqueue.
     rebalancer: Option<Rebalancer>,
-    /// Cell migrations executed so far.
+    /// Cell moves decided so far (see [`RebalanceSummary::migrations`]).
     migrations: u64,
 }
 
@@ -384,99 +416,117 @@ impl Shared {
 
     /// Routes, logs and enqueues one batch atomically. The whole batch is
     /// validated first, so a rejected batch stages nothing at all.
-    fn ingest(&self, requests: &[Request]) -> Result<u64, String> {
+    /// `routed` is the caller's scratch buffer, reused across calls.
+    ///
+    /// Under the one ingress lock hold, each request is logged and then
+    /// appended to its group's staged run; the runs go out with one
+    /// [`ring::Sender::send_batch`] per group — one ring lock and one
+    /// wake-up per group per frame instead of per request. The runs are
+    /// flushed, still under the lock, at three points: before a
+    /// rebalance boundary (the `Probe` must follow the boundary prefix,
+    /// or `wait_all` would wait on requests nobody sent), before a
+    /// snapshot cut, and at the end of the call. Logging order per group
+    /// therefore still equals ring order (invariant #5), and every
+    /// marker still follows exactly the prefix it addresses.
+    fn ingest(
+        &self,
+        requests: &[Request],
+        routed: &mut Vec<(ShardId, Request)>,
+    ) -> Result<u64, String> {
         if let Some(e) = self.poison() {
             return Err(format!("service poisoned: {e}"));
         }
         // Validate + route outside the lock (routing is pure).
-        let mut routed = Vec::with_capacity(requests.len());
+        routed.clear();
         for &r in requests {
             routed.push(self.router.route(r)?);
         }
         let mut guard = locked(&self.ingress);
         let lock_stamp = self.metrics.as_ref().map(|_| clock::stamp());
-        // Ring-wait sampling: one stamp marker rides ahead of the call's
-        // first request; the receiving group records how long it sat in
-        // the ring. Sent at most once per ingest so the sampling cost is
-        // amortised across the batch.
-        let mut stamp_pending = self.metrics.is_some();
-        // Split borrows: the senders are read while the sink and the
-        // counters are written, so destructure once instead of proving
-        // presence again at each use.
-        let Ingress { senders, sink, enqueued, accepted, rebalancer, migrations } = &mut *guard;
+        // Split borrows: the senders are read while the runs, the sink
+        // and the counters are written, so destructure once instead of
+        // proving presence again at each use.
+        let Ingress { senders, runs, sink, enqueued, accepted, rebalancer, migrations } =
+            &mut *guard;
         let Some(senders) = senders.as_ref() else {
             return Err("service is shutting down".to_string());
         };
-        // Log first, then enqueue, request by request, under one lock
-        // hold: the log's per-cell projection must equal queue order.
-        // With rebalancing, boundary decisions fire *between* the
-        // interval-th request and the next, so every rebalance record
-        // sits at an exact request position in the log — the replay
-        // recomputes the boundary at the same position by construction.
-        for (&raw, &(sid, local)) in requests.iter().zip(&routed) {
-            if let Some(sink) = sink.as_mut() {
-                if let Err(e) = sink.push(raw) {
-                    let message = format!("trace log write failed: {e}");
-                    self.set_poison(None, message.clone());
-                    return Err(message);
+        // Ring-wait sampling: one stamp marker rides just ahead of the
+        // call's first request, in that request's group run; the group
+        // records how long it waited. At most one per ingest, so the
+        // sampling cost is amortised across the batch.
+        let mut stamp_pending = self.metrics.is_some();
+        // Every failure below poisons: the log may already hold records
+        // that never reached a ring, so the determinism invariant is
+        // gone and shutdown() must not report a clean run.
+        let staged: Result<(), (Option<ShardId>, String)> = 'stage: {
+            // With rebalancing, boundary decisions fire *between* the
+            // interval-th request and the next, so every rebalance record
+            // sits at an exact request position in the log — the replay
+            // recomputes the boundary at the same position by
+            // construction.
+            for (&raw, &(sid, local)) in requests.iter().zip(routed.iter()) {
+                if let Some(sink) = sink.as_mut() {
+                    if let Err(e) = sink.push(raw) {
+                        break 'stage Err((None, format!("trace log write failed: {e}")));
+                    }
                 }
-            }
-            let group = match rebalancer.as_ref() {
-                // Route at the current epoch. Under the ingress lock the
-                // epoch cannot move between the read and the send, so a
-                // request can never reach a ring its cell is about to
-                // leave: migrations are decided and enqueued under this
-                // same lock.
-                Some(reb) => {
-                    let epoch = reb.table().epoch();
-                    match reb.table().route_at(sid, epoch) {
-                        Ok(group) => group as usize,
-                        Err(e) => {
-                            let message = format!("routing cell {} failed: {e}", sid.index());
-                            self.set_poison(Some(sid), message.clone());
-                            return Err(message);
+                let group = match rebalancer.as_ref() {
+                    // Route at the current epoch. Under the ingress lock
+                    // the epoch cannot move between the read and the
+                    // flush, so a request can never reach a ring its
+                    // cell is about to leave: migrations are decided and
+                    // enqueued under this same lock, after a flush.
+                    Some(reb) => {
+                        let epoch = reb.table().epoch();
+                        match reb.table().route_at(sid, epoch) {
+                            Ok(group) => group as usize,
+                            Err(e) => {
+                                let message = format!("routing cell {} failed: {e}", sid.index());
+                                break 'stage Err((Some(sid), message));
+                            }
+                        }
+                    }
+                    None => sid.index(),
+                };
+                let run = &mut runs[group];
+                if stamp_pending {
+                    stamp_pending = false;
+                    run.push(Cmd::Stamp(clock::stamp()));
+                }
+                run.push(Cmd::Req(sid.0, local));
+                *accepted += 1;
+                if let Some(reb) = rebalancer.as_mut() {
+                    if *accepted == reb.next_boundary_at() {
+                        if let Err(e) = flush_runs(senders, runs, enqueued) {
+                            break 'stage Err(e);
+                        }
+                        if let Err(message) =
+                            self.process_boundary(sink.as_mut(), senders, reb, migrations)
+                        {
+                            break 'stage Err((None, message));
                         }
                     }
                 }
-                None => sid.index(),
-            };
-            if stamp_pending {
-                // Best-effort: a dead ring is detected (and poisoned) by
-                // the request send right below; the stamp itself must
-                // never bump `enqueued`/`accepted` or fail ingest.
-                stamp_pending = false;
-                let _ = senders[group].send(Cmd::Stamp(clock::stamp()));
-            }
-            if senders[group].send(Cmd::Req(sid.0, local)).is_err() {
-                // The record may already be in the log (and this batch's
-                // prefix already enqueued): the log no longer matches what
-                // ran, so the determinism invariant is gone — poison the
-                // service rather than let shutdown() report a clean run.
-                let message = format!("group {group} worker is gone; logged requests were dropped");
-                self.set_poison(Some(sid), message.clone());
-                return Err(message);
-            }
-            enqueued[group] += 1;
-            *accepted += 1;
-            if let Some(reb) = rebalancer.as_mut() {
-                if *accepted == reb.next_boundary_at() {
-                    if let Err(message) =
-                        self.process_boundary(sink.as_mut(), senders, reb, migrations)
-                    {
-                        self.set_poison(None, message.clone());
-                        return Err(message);
+                if let Some(policy) = &self.snapshots {
+                    if accepted.is_multiple_of(policy.every.max(1)) {
+                        if let Err(e) = flush_runs(senders, runs, enqueued) {
+                            break 'stage Err(e);
+                        }
+                        if let Err(e) = self.register_cut(sink.as_mut(), senders) {
+                            let message = format!("trace log sync for snapshot cut failed: {e}");
+                            break 'stage Err((None, message));
+                        }
                     }
                 }
             }
-            if let Some(policy) = &self.snapshots {
-                if accepted.is_multiple_of(policy.every.max(1)) {
-                    if let Err(e) = self.register_cut(sink.as_mut(), senders) {
-                        let message = format!("trace log sync for snapshot cut failed: {e}");
-                        self.set_poison(None, message.clone());
-                        return Err(message);
-                    }
-                }
-            }
+            flush_runs(senders, runs, enqueued)
+        };
+        if let Err((shard, message)) = staged {
+            // Nothing staged by a failed call may ride out with a later one.
+            runs.iter_mut().for_each(Vec::clear);
+            self.set_poison(shard, message.clone());
+            return Err(message);
         }
         if let Some(m) = &self.metrics {
             m.requests.add(requests.len() as u64);
@@ -517,13 +567,14 @@ impl Shared {
             sink.push_rebalance(&record)
                 .map_err(|e| format!("trace log write of a rebalance record failed: {e}"))?;
         }
-        // All MigrateOuts before all Installs (see module docs).
-        let mut pending = Vec::with_capacity(record.moves.len());
-        for &(cell, dst) in &record.moves {
+        // The planner may move a cell more than once per decision; live,
+        // each cell migrates once, from its owner before the boundary to
+        // its owner after it. All MigrateOuts before all Installs (see
+        // module docs).
+        let net = net_moves(&owners_before, &record.moves)?;
+        let mut pending = Vec::with_capacity(net.len());
+        for (cell, src, dst) in net {
             let handoff = Arc::new(Handoff::new());
-            let Some(&src) = owners_before.get(cell as usize) else {
-                return Err(format!("planned move of unknown cell {cell}"));
-            };
             if senders[src as usize].send(Cmd::MigrateOut(cell, Arc::clone(&handoff))).is_err() {
                 return Err(format!("group {src} exited with cell {cell} still to migrate"));
             }
@@ -533,8 +584,8 @@ impl Shared {
             if senders[dst as usize].send(Cmd::Install(cell, handoff)).is_err() {
                 return Err(format!("group {dst} exited with cell {cell} still to install"));
             }
-            *migrations += 1;
         }
+        *migrations += record.moves.len() as u64;
         Ok(())
     }
 
@@ -622,7 +673,7 @@ impl Server {
         let sink = match &cfg.log {
             TraceLog::Off => None,
             TraceLog::Memory => Some(TraceSink::Memory(TraceWriter::with_flags(
-                Cursor::new(Vec::new()),
+                Cursor::new(Vec::with_capacity(MEMORY_LOG_INITIAL)),
                 header(),
                 flags,
             )?)),
@@ -722,6 +773,7 @@ impl Server {
             engine_cfg,
             ingress: Mutex::new(Ingress {
                 senders: Some(senders),
+                runs: (0..groups).map(|_| Vec::new()).collect(),
                 sink,
                 enqueued: enqueued.clone(),
                 accepted,
@@ -1181,6 +1233,36 @@ impl Server {
     }
 }
 
+/// Delivers every group's staged run with one [`ring::Sender::send_batch`]
+/// and credits `enqueued` with the requests of each run that arrived —
+/// only then, so [`Shared::wait_drained`] never waits for a run that
+/// failed to send.
+///
+/// # Errors
+/// The first group whose worker is gone, naming the cell of its first
+/// undelivered request.
+fn flush_runs(
+    senders: &[ring::Sender<Cmd>],
+    runs: &mut [Vec<Cmd>],
+    enqueued: &mut [u64],
+) -> Result<(), (Option<ShardId>, String)> {
+    for (group, ((sender, run), done)) in senders.iter().zip(runs).zip(enqueued).enumerate() {
+        let requests = run.iter().filter(|cmd| matches!(cmd, Cmd::Req(..))).count() as u64;
+        if sender.send_batch(run).is_err() {
+            let cell = run.iter().find_map(|cmd| match cmd {
+                Cmd::Req(cell, _) => Some(ShardId(*cell)),
+                _ => None,
+            });
+            return Err((
+                cell,
+                format!("group {group} worker is gone; logged requests were dropped"),
+            ));
+        }
+        *done += requests;
+    }
+    Ok(())
+}
+
 /// Builds the rebalancer a fresh service starts from: round-robin
 /// initial table over the engine's cells, epoch 0, no boundaries.
 fn rebalancer_for(
@@ -1334,6 +1416,15 @@ fn worker_loop(
             }
         }
         executed += run_buffered(&mut cells, run_cell, &mut scratch, shared, &mut delta);
+        // Stats before progress: a drain barrier releases on progress, and
+        // `Stats` after a drain must already include every executed batch.
+        {
+            let mut stats = locked(&shared.stats);
+            stats.rounds += delta.rounds;
+            stats.paid_rounds += delta.paid_rounds;
+            stats.service_cost += delta.service_cost;
+            stats.reorg_cost += delta.reorg_cost;
+        }
         // Progress counts *consumed* requests even past a violation, so
         // drain barriers and backpressure keep moving while the error
         // propagates.
@@ -1343,13 +1434,6 @@ fn worker_loop(
                 *slot += executed;
             }
             shared.progress_cv.notify_all();
-        }
-        {
-            let mut stats = locked(&shared.stats);
-            stats.rounds += delta.rounds;
-            stats.paid_rounds += delta.paid_rounds;
-            stats.service_cost += delta.service_cost;
-            stats.reorg_cost += delta.reorg_cost;
         }
     }
 }
@@ -1505,6 +1589,7 @@ fn connection_loop(
     let mut writer = BufWriter::new(stream);
     let mut rbuf = Vec::new();
     let mut wbuf = Vec::new();
+    let mut routed = Vec::new();
 
     let fail = |writer: &mut BufWriter<TcpStream>, wbuf: &mut Vec<u8>, message: String| {
         let _ = wire::write_message(writer, &Message::Error { message }, wbuf);
@@ -1563,7 +1648,7 @@ fn connection_loop(
             }
         };
         match msg {
-            Message::Submit { requests } => match shared.ingest(&requests) {
+            Message::Submit { requests } => match shared.ingest(&requests, &mut routed) {
                 Ok(accepted) => {
                     wire::write_message(&mut writer, &Message::Ack { accepted }, &mut wbuf)?;
                 }

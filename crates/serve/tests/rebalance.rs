@@ -68,6 +68,37 @@ fn skewed(universe: usize, len: usize, seed: u64, hot: u32) -> Vec<Request> {
         .collect()
 }
 
+/// A load mix that changes every `block` requests: each block draws a
+/// fresh random weight per node and samples the block from it. Loads
+/// that stay close across several cells are what make the greedy
+/// planner move one cell twice in one decision.
+fn shifting(universe: usize, len: usize, seed: u64, block: usize) -> Vec<Request> {
+    let mut rng = SplitMix64::new(seed);
+    let mut weights: Vec<usize> = Vec::new();
+    (0..len)
+        .map(|i| {
+            if i % block == 0 {
+                weights = (0..universe).map(|_| 1 + rng.index(100)).collect();
+            }
+            let mut x = rng.index(weights.iter().sum());
+            let v = weights
+                .iter()
+                .position(|&w| {
+                    let hit = x < w;
+                    x = x.saturating_sub(w);
+                    hit
+                })
+                .unwrap_or(0);
+            let v = NodeId(v as u32);
+            if rng.chance(0.3) {
+                Request::neg(v)
+            } else {
+                Request::pos(v)
+            }
+        })
+        .collect()
+}
+
 fn rebalance_policy<F>(groups: u32, rcfg: RebalanceConfig, f: F) -> RebalancePolicy
 where
     F: Fn(Arc<Tree>, ShardId) -> Box<dyn CachePolicy> + Send + Sync + 'static,
@@ -216,6 +247,60 @@ fn mid_drain_migrations_on_tiny_queues_stay_deterministic() {
     let (out, reb, per_shard, report, timeline) =
         replay_rebalancing(&forest, bytes, groups, rcfg, 1);
     assert_eq!(out.verified, summary.boundaries);
+    assert_eq!(reb.table().owners(), summary.owners.as_slice());
+    assert_eq!(per_shard, outcome.per_shard);
+    assert_eq!(report, outcome.report);
+    assert_eq!(timeline, outcome.timeline);
+}
+
+/// A greedy plan may move one cell twice in one decision (A→B, then
+/// B→C). This stream's second boundary does exactly that at
+/// `max_moves(4)`: cell 5 moves to group 0 and then on to group 2.
+/// Executed move by move, the second `MigrateOut` reached a group that
+/// no longer hosted the cell and poisoned the service; live, the cell
+/// must migrate once, and the run must still equal its replay.
+#[test]
+fn a_cell_moved_twice_in_one_decision_migrates_once_live() {
+    let tree = Tree::star(8);
+    let forest = Forest::cells(&tree);
+    let groups = 4u32;
+    let rcfg = RebalanceConfig::new(100).threshold_x1000(1000).max_moves(4);
+    let reqs = shifting(tree.len(), 1000, 46, 100);
+
+    let engine = ShardedEngine::new(forest.clone(), &factory, base_cfg());
+    let serve_cfg = ServeConfig {
+        log: TraceLog::Memory,
+        rebalance: Some(rebalance_policy(groups, rcfg, factory)),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(engine, serve_cfg).expect("bind loopback");
+    // One client, fixed chunking: the logged order is `reqs` itself, so
+    // the schedule below is this stream's.
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for chunk in reqs.chunks(37) {
+        client.submit(chunk).expect("submit");
+    }
+    client.drain().expect("drain");
+    client.bye().expect("bye");
+    let outcome = server.shutdown().expect("a repeated cell must not poison the service");
+    let summary = outcome.rebalance.clone().expect("summary");
+    let bytes = outcome.trace_bytes.as_deref().expect("memory log");
+
+    let (out, reb, per_shard, report, timeline) =
+        replay_rebalancing(&forest, bytes, groups, rcfg, 1);
+    let repeats = |moves: &[(u32, u32)]| {
+        moves.iter().enumerate().any(|(i, m)| moves[..i].iter().any(|n| n.0 == m.0))
+    };
+    assert!(
+        out.schedule.iter().any(|r| repeats(&r.moves)),
+        "the stream must make the planner move a cell twice in one decision"
+    );
+    assert_eq!(out.verified, summary.boundaries);
+    assert_eq!(
+        out.schedule.iter().map(|r| r.moves.len() as u64).sum::<u64>(),
+        summary.migrations,
+        "migrations count the moves decided, repeats included"
+    );
     assert_eq!(reb.table().owners(), summary.owners.as_slice());
     assert_eq!(per_shard, outcome.per_shard);
     assert_eq!(report, outcome.report);

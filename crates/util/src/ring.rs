@@ -8,18 +8,27 @@
 //!   where the caller owns the locking discipline.
 //! * [`channel`] — a bounded **blocking MPSC fan-in** over one [`Ring`]:
 //!   any number of [`Sender`] clones feed one [`Receiver`]. A full ring
-//!   applies *backpressure* ([`Sender::send`] blocks until the consumer
-//!   makes room) instead of growing, so a slow worker throttles its
-//!   producers rather than letting the queue eat the heap. This is the
-//!   queue between `otc-serve`'s ingress threads (one per client
-//!   connection) and its pinned per-shard workers.
+//!   applies *backpressure* (a send blocks until the consumer makes
+//!   room) instead of growing, so a slow worker throttles its producers
+//!   rather than letting the queue eat the heap. This is the queue
+//!   between `otc-serve`'s ingress (one thread per client connection)
+//!   and its per-group workers.
 //!
 //! The workspace forbids `unsafe`, so the channel serialises access with a
-//! `Mutex` + two `Condvar`s rather than atomics-over-`UnsafeCell`. The
-//! critical sections are O(1) pushes/pops (or `memcpy`-ish batch drains),
-//! which at serving batch sizes is far from the bottleneck — the engine
-//! round itself is. FIFO order per producer and loss-freedom are pinned by
-//! `crates/util/tests/proptest_ring.rs`.
+//! `Mutex` + two `Condvar`s rather than atomics-over-`UnsafeCell`. Each
+//! lock acquisition plus condvar notify costs far more than the push or
+//! pop it guards, and a notify can wake a consumer that then finds one
+//! item. Per-item traffic therefore makes the hand-off, not the engine,
+//! the serving bottleneck. Both ends batch instead:
+//!
+//! * [`Sender::send_batch`] moves a whole run into the ring under one
+//!   lock with one notify, waiting on backpressure (lock released) and
+//!   continuing for runs larger than the capacity;
+//! * [`Receiver::recv_batch`] drains up to a batch under one lock.
+//!
+//! [`Sender::send`] stays for single markers. FIFO order per producer,
+//! loss-freedom, and `send_batch`'s backpressure and disconnect contracts
+//! are pinned by `crates/util/tests/proptest_ring.rs`.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -81,6 +90,16 @@ impl<T> Ring<T> {
         }
         self.slots.push_back(value);
         Ok(())
+    }
+
+    /// Moves as many items as fit from the front of `items` to the tail,
+    /// in order, and returns how many moved; the rest stay in `items`.
+    /// The batch sibling of [`Ring::push`] (and the mirror image of
+    /// [`Ring::pop_into`]).
+    pub fn push_from(&mut self, items: &mut Vec<T>) -> usize {
+        let take = (self.capacity - self.slots.len()).min(items.len());
+        self.slots.extend(items.drain(..take));
+        take
     }
 
     /// Removes and returns the head item, oldest first.
@@ -232,6 +251,40 @@ impl<T> Sender<T> {
                     inner = self.shared.not_full.wait(inner).expect("channel lock poisoned");
                 }
             }
+        }
+    }
+
+    /// Delivers every item of `items` in FIFO order, draining the `Vec`
+    /// (its capacity is kept for reuse). The batch mirror of
+    /// [`Receiver::recv_batch`]: one lock acquisition and one notify per
+    /// pass that pushed something. When the ring fills up mid-batch it
+    /// waits for room (releasing the lock) and continues, so a batch
+    /// larger than the capacity still completes under backpressure.
+    /// An empty batch is a no-op.
+    ///
+    /// # Errors
+    /// [`SendError::Disconnected`] once the receiver is gone — including
+    /// when it is dropped mid-wait. The undelivered suffix is left in
+    /// `items`, in order; the delivered prefix stays delivered.
+    pub fn send_batch(&self, items: &mut Vec<T>) -> Result<(), SendError<()>> {
+        if items.is_empty() {
+            return Ok(());
+        }
+        let mut inner = self.shared.inner.lock().expect("channel lock poisoned");
+        loop {
+            if !inner.receiver_alive {
+                return Err(SendError::Disconnected(()));
+            }
+            let pushed = inner.ring.push_from(items);
+            if items.is_empty() {
+                drop(inner);
+                self.shared.not_empty.notify_one();
+                return Ok(());
+            }
+            if pushed > 0 {
+                self.shared.not_empty.notify_one();
+            }
+            inner = self.shared.not_full.wait(inner).expect("channel lock poisoned");
         }
     }
 
@@ -462,6 +515,33 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         drop(rx);
         assert_eq!(handle.join().unwrap(), Err(SendError::Disconnected(2)));
+    }
+
+    #[test]
+    fn empty_send_batch_is_a_no_op() {
+        let (tx, rx) = channel::<u32>(1);
+        tx.send(7).unwrap();
+        // Neither a full ring nor a dropped receiver matters: nothing to
+        // deliver means no lock, no wait, no error.
+        let mut none = Vec::new();
+        assert_eq!(tx.send_batch(&mut none), Ok(()));
+        assert_eq!(tx.queued(), 1);
+        drop(rx);
+        assert_eq!(tx.send_batch(&mut none), Ok(()));
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn send_batch_delivers_in_order_and_keeps_the_buffer() {
+        let (tx, rx) = channel(8);
+        let mut run = Vec::with_capacity(16);
+        run.extend([1, 2, 3]);
+        tx.send(0).unwrap();
+        tx.send_batch(&mut run).unwrap();
+        assert!(run.is_empty() && run.capacity() >= 16, "drained, capacity kept");
+        let mut out = Vec::new();
+        assert_eq!(rx.recv_batch(&mut out, 10), Ok(4));
+        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! the hand-off the serving runtime (`otc-serve`) relies on. Three
 //! guarantees are pinned: FIFO order per producer, the capacity bound is
 //! never exceeded, and no value is ever lost or duplicated under
-//! contention.
+//! contention. `Sender::send_batch` is held to the same guarantees, plus
+//! its own two: a batch larger than the capacity completes under
+//! backpressure, and a receiver dropped mid-batch ends it with an error
+//! that hands back exactly the undelivered suffix — never a hang.
 
-use otc_util::ring::{channel, Ring, TrySendError};
+use otc_util::ring::{channel, Ring, SendError, TrySendError};
 use proptest::prelude::*;
 
 proptest! {
@@ -115,6 +118,155 @@ proptest! {
         for (p, n) in next.iter().enumerate() {
             prop_assert_eq!(*n, per_producer, "producer {} fully delivered", p);
         }
+    }
+
+    /// `push_from` moves exactly the prefix that fits, like that many
+    /// single pushes, and leaves the rest in the caller's `Vec`.
+    #[test]
+    fn ring_push_from_matches_singles(
+        capacity in 1usize..16,
+        preload in 0usize..16,
+        values in prop::collection::vec(any::<u16>(), 0..40),
+    ) {
+        let mut a = Ring::with_capacity(capacity);
+        let mut b = Ring::with_capacity(capacity);
+        for i in 0..preload.min(capacity) {
+            a.push(u16::MAX - i as u16).expect("under capacity");
+            b.push(u16::MAX - i as u16).expect("under capacity");
+        }
+        let mut rest = values.clone();
+        let moved = a.push_from(&mut rest);
+        let mut singles = 0;
+        for &v in &values {
+            if b.push(v).is_err() {
+                break;
+            }
+            singles += 1;
+        }
+        prop_assert_eq!(moved, singles);
+        prop_assert_eq!(&rest[..], &values[moved..], "the suffix stays, in order");
+        prop_assert!(a.len() <= capacity);
+        let (mut da, mut db) = (Vec::new(), Vec::new());
+        a.pop_into(&mut da, usize::MAX);
+        b.pop_into(&mut db, usize::MAX);
+        prop_assert_eq!(da, db);
+    }
+
+    /// Producers mixing single `send`s and `send_batch`es of any size
+    /// (including larger than the capacity) fan in losslessly: nothing is
+    /// lost or duplicated, each producer's items arrive in its own order,
+    /// and every batch lands contiguously, ahead of its producer's next
+    /// item.
+    #[test]
+    fn mixed_send_and_send_batch_fan_in_is_lossless_and_ordered(
+        capacity in 1usize..16,
+        scripts in prop::collection::vec(
+            prop::collection::vec((any::<bool>(), 1usize..24), 0..12),
+            1..5,
+        ),
+        batch in 1usize..32,
+    ) {
+        let (tx, rx) = channel::<(usize, usize)>(capacity);
+        let mut handles = Vec::new();
+        let mut totals = Vec::new();
+        for (p, script) in scripts.into_iter().enumerate() {
+            totals.push(script.iter().map(|&(_, n)| n).sum::<usize>());
+            let tx = tx.clone();
+            handles.push(std::thread::spawn(move || {
+                let mut next = 0;
+                let mut run = Vec::new();
+                for (batched, n) in script {
+                    if batched {
+                        run.extend((next..next + n).map(|i| (p, i)));
+                        tx.send_batch(&mut run).expect("receiver lives until fully drained");
+                        assert!(run.is_empty(), "a delivered batch leaves the Vec empty");
+                    } else {
+                        for i in next..next + n {
+                            tx.send((p, i)).expect("receiver lives until fully drained");
+                        }
+                    }
+                    next += n;
+                }
+            }));
+        }
+        drop(tx);
+        let mut got = Vec::new();
+        while rx.recv_batch(&mut got, batch).is_ok() {}
+        for h in handles {
+            h.join().expect("producer panicked");
+        }
+        prop_assert_eq!(got.len(), totals.iter().sum::<usize>(), "no loss, no duplication");
+        let mut next = vec![0usize; totals.len()];
+        for (p, i) in got {
+            prop_assert_eq!(i, next[p], "producer {}'s items arrive in send order", p);
+            next[p] += 1;
+        }
+        prop_assert_eq!(next, totals, "every producer fully delivered");
+    }
+
+    /// A batch several times the capacity completes against a consumer
+    /// that drains in small, slow `recv_batch` bites: `send_batch` waits
+    /// for room (lock released) and continues instead of failing or
+    /// spinning, and the stream arrives in order.
+    #[test]
+    fn oversized_batches_complete_against_a_slow_consumer(
+        capacity in 1usize..8,
+        batches in prop::collection::vec(1usize..64, 1..6),
+        bite in 1usize..4,
+    ) {
+        let (tx, rx) = channel::<usize>(capacity);
+        let total: usize = batches.iter().sum();
+        let producer = std::thread::spawn(move || {
+            let mut next = 0;
+            let mut run = Vec::new();
+            for n in batches {
+                run.extend(next..next + n);
+                tx.send_batch(&mut run).expect("receiver lives until fully drained");
+                next += n;
+            }
+        });
+        let mut got = Vec::with_capacity(total);
+        loop {
+            std::thread::yield_now();
+            if rx.recv_batch(&mut got, bite).is_err() {
+                break;
+            }
+        }
+        producer.join().expect("producer panicked");
+        prop_assert_eq!(got, (0..total).collect::<Vec<_>>());
+    }
+
+    /// Dropping the receiver while a batch is blocked on a full ring ends
+    /// the batch with `Err`: what the consumer saw is a prefix of the
+    /// batch, the caller's `Vec` holds exactly the undelivered suffix,
+    /// and the two never overlap. The join proves it never hangs.
+    #[test]
+    fn receiver_dropped_mid_batch_returns_the_undelivered_suffix(
+        capacity in 1usize..8,
+        taken in 0usize..12,
+        extra in 1usize..40,
+    ) {
+        let (tx, rx) = channel::<usize>(capacity);
+        // More than the consumer takes plus what the ring can hold, so
+        // the batch must still be blocked when the receiver goes.
+        let n = taken + capacity + extra;
+        let producer = std::thread::spawn(move || {
+            let mut run: Vec<usize> = (0..n).collect();
+            let result = tx.send_batch(&mut run);
+            (result, run)
+        });
+        let mut got = Vec::new();
+        while got.len() < taken {
+            let want = taken - got.len();
+            rx.recv_batch(&mut got, want).expect("the producer is still sending");
+        }
+        drop(rx);
+        let (result, left) = producer.join().expect("producer panicked");
+        prop_assert_eq!(result, Err(SendError::Disconnected(())));
+        prop_assert_eq!(&got[..], &(0..taken).collect::<Vec<_>>()[..], "a prefix arrived");
+        prop_assert!(!left.is_empty(), "the batch was cut short");
+        prop_assert!(taken + left.len() <= n);
+        prop_assert_eq!(&left[..], &(n - left.len()..n).collect::<Vec<_>>()[..], "suffix kept");
     }
 
     /// `try_send` refuses exactly when the ring is at capacity, and the
