@@ -1,8 +1,8 @@
-//! Measurement support shared by the `bench_rebalance` recorder, the
-//! repository benchmark (`benchmark/`) and this crate's tests: the
-//! structured host provenance of [`HostInfo::capture`] and the fixed FIB
-//! workload of [`fib_baseline`], whose total costs `tests/fib_costs.rs`
-//! pins.
+//! Measurement support shared by the repository benchmark (`benchmark/`)
+//! and this crate's tests: the structured host provenance of
+//! [`HostInfo::capture`] and the fixed FIB workload of [`fib_baseline`],
+//! whose total costs `tests/fib_costs.rs` pins. `tests/rebalance_makespan.rs`
+//! pins the deterministic static-vs-dynamic placement comparison.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 

@@ -8,7 +8,7 @@
 //! client B ──TCP──▶ conn thread B ─┤─ ingress ──┤─▶ group 1 {ShardWorker…}
 //! client C ──TCP──▶ conn thread C ─┘   lock     └─▶ group G {ShardWorker…}
 //!                                      │
-//!                                      └─▶ OTCT trace log (optional)
+//!                                      └─▶ OTCT trace log
 //! ```
 //!
 //! * One **acceptor** thread hands connections to per-connection threads.
@@ -93,13 +93,11 @@ use crate::obs::{DrainHooks, ServeMetrics};
 use crate::rebalance::{detach_cell, install_cell, net_moves, Handoff, Probe, RebalancePolicy};
 use crate::wire::{self, Message, ServeStats, WIRE_VERSION};
 
-/// Where (and whether) the server logs the accepted request stream as an
-/// OTCT binary trace.
+/// Where the server logs the accepted request stream as an OTCT binary
+/// trace. Every service logs: the log is what recovery, rebalance
+/// verification and the replay identity all read.
 #[derive(Debug, Clone, Default)]
 pub enum TraceLog {
-    /// No logging (maximum throughput; the replay identity is then
-    /// unobservable for this run).
-    Off,
     /// Log into memory; [`ServeOutcome::trace_bytes`] returns the bytes.
     #[default]
     Memory,
@@ -141,11 +139,11 @@ pub struct ServeConfig {
     /// Most requests a worker drains per wakeup (bounds per-wakeup
     /// latency under burst).
     pub worker_batch: usize,
-    /// Request-stream logging.
+    /// Where the request stream is logged.
     pub log: TraceLog,
-    /// Periodic engine snapshots (requires a trace log, since a snapshot
-    /// addresses a log position). `None` = never snapshot; recovery is
-    /// then pure log replay.
+    /// Periodic engine snapshots, each addressing a position in the
+    /// trace log. `None` = never snapshot; recovery is then pure log
+    /// replay.
     pub snapshots: Option<SnapshotPolicy>,
     /// Dynamic resharding under live skew. `None` (the default) pins one
     /// worker thread per shard forever; `Some` spreads the engine's
@@ -342,13 +340,14 @@ struct Cut {
 /// Ingress state: the single serialization point of the service (see the
 /// module docs for why log + enqueue must be one atomic step).
 struct Ingress {
-    senders: Option<Vec<ring::Sender<Cmd>>>,
+    /// The group rings' senders and the trace sink, present from start
+    /// until shutdown or kill takes both in one lock hold.
+    open: Option<(Vec<ring::Sender<Cmd>>, TraceSink)>,
     /// Per-group runs staged by the current [`Shared::ingest`] call and
     /// delivered with one `send_batch` per group; empty between calls.
     /// They start empty and keep their capacity, so each grows to the
     /// largest frame's share once.
     runs: Vec<Vec<Cmd>>,
-    sink: Option<TraceSink>,
     /// Requests delivered per group over the service lifetime.
     enqueued: Vec<u64>,
     /// Requests accepted in total.
@@ -446,9 +445,8 @@ impl Shared {
         // Split borrows: the senders are read while the runs, the sink
         // and the counters are written, so destructure once instead of
         // proving presence again at each use.
-        let Ingress { senders, runs, sink, enqueued, accepted, rebalancer, migrations } =
-            &mut *guard;
-        let Some(senders) = senders.as_ref() else {
+        let Ingress { open, runs, enqueued, accepted, rebalancer, migrations } = &mut *guard;
+        let Some((senders, sink)) = open.as_mut() else {
             return Err("service is shutting down".to_string());
         };
         // Ring-wait sampling: one stamp marker rides just ahead of the
@@ -466,10 +464,8 @@ impl Shared {
             // recomputes the boundary at the same position by
             // construction.
             for (&raw, &(sid, local)) in requests.iter().zip(routed.iter()) {
-                if let Some(sink) = sink.as_mut() {
-                    if let Err(e) = sink.push(raw) {
-                        break 'stage Err((None, format!("trace log write failed: {e}")));
-                    }
+                if let Err(e) = sink.push(raw) {
+                    break 'stage Err((None, format!("trace log write failed: {e}")));
                 }
                 let group = match rebalancer.as_ref() {
                     // Route at the current epoch. Under the ingress lock
@@ -501,8 +497,7 @@ impl Shared {
                         if let Err(e) = flush_runs(senders, runs, enqueued) {
                             break 'stage Err(e);
                         }
-                        if let Err(message) =
-                            self.process_boundary(sink.as_mut(), senders, reb, migrations)
+                        if let Err(message) = self.process_boundary(sink, senders, reb, migrations)
                         {
                             break 'stage Err((None, message));
                         }
@@ -513,7 +508,7 @@ impl Shared {
                         if let Err(e) = flush_runs(senders, runs, enqueued) {
                             break 'stage Err(e);
                         }
-                        if let Err(e) = self.register_cut(sink.as_mut(), senders) {
+                        if let Err(e) = self.register_cut(sink, senders) {
                             let message = format!("trace log sync for snapshot cut failed: {e}");
                             break 'stage Err((None, message));
                         }
@@ -544,7 +539,7 @@ impl Shared {
     /// ordering argument that makes each step deadlock-free.
     fn process_boundary(
         &self,
-        sink: Option<&mut TraceSink>,
+        sink: &mut TraceSink,
         senders: &[ring::Sender<Cmd>],
         reb: &mut Rebalancer,
         migrations: &mut u64,
@@ -563,10 +558,8 @@ impl Shared {
         let loads = probe.wait_all();
         let owners_before: Vec<u32> = reb.table().owners().to_vec();
         let record = reb.on_boundary(&loads)?;
-        if let Some(sink) = sink {
-            sink.push_rebalance(&record)
-                .map_err(|e| format!("trace log write of a rebalance record failed: {e}"))?;
-        }
+        sink.push_rebalance(&record)
+            .map_err(|e| format!("trace log write of a rebalance record failed: {e}"))?;
         // The planner may move a cell more than once per decision; live,
         // each cell migrates once, from its owner before the boundary to
         // its owner after it. All MigrateOuts before all Installs (see
@@ -593,14 +586,7 @@ impl Shared {
     /// the bytes a snapshot will address are durable, prebuilds the OTCS
     /// header for the current log position, and floats one cut marker
     /// down every shard ring.
-    fn register_cut(
-        &self,
-        sink: Option<&mut TraceSink>,
-        senders: &[ring::Sender<Cmd>],
-    ) -> io::Result<()> {
-        let Some(sink) = sink else {
-            return Ok(()); // snapshots without a log are refused at start
-        };
+    fn register_cut(&self, sink: &mut TraceSink, senders: &[ring::Sender<Cmd>]) -> io::Result<()> {
         sink.sync()?;
         let log = sink.position();
         let shards = self.router.num_shards();
@@ -671,15 +657,14 @@ impl Server {
         // its decision records may legally interleave with the requests.
         let flags = if cfg.rebalance.is_some() { TRACE_FLAG_REBALANCE } else { 0 };
         let sink = match &cfg.log {
-            TraceLog::Off => None,
-            TraceLog::Memory => Some(TraceSink::Memory(TraceWriter::with_flags(
+            TraceLog::Memory => TraceSink::Memory(TraceWriter::with_flags(
                 Cursor::new(Vec::with_capacity(MEMORY_LOG_INITIAL)),
                 header(),
                 flags,
-            )?)),
+            )?),
             TraceLog::File(path) => {
                 let file = BufWriter::new(File::create(path)?);
-                Some(TraceSink::File(TraceWriter::with_flags(file, header(), flags)?, path.clone()))
+                TraceSink::File(TraceWriter::with_flags(file, header(), flags)?, path.clone())
             }
         };
 
@@ -712,7 +697,7 @@ impl Server {
         router: ShardRouter,
         shard_workers: Vec<ShardWorker>,
         engine_cfg: EngineConfig,
-        sink: Option<TraceSink>,
+        sink: TraceSink,
         enqueued: Vec<u64>,
         accepted: u64,
         stats: ServeStats,
@@ -721,12 +706,6 @@ impl Server {
         cfg: &ServeConfig,
     ) -> io::Result<Server> {
         if let Some(policy) = &cfg.snapshots {
-            if sink.is_none() {
-                return Err(io::Error::other(
-                    "a snapshot cadence needs a trace log (snapshots address log positions); \
-                     use TraceLog::Memory or TraceLog::File",
-                ));
-            }
             fs::create_dir_all(&policy.dir)?;
         }
 
@@ -772,9 +751,8 @@ impl Server {
             router,
             engine_cfg,
             ingress: Mutex::new(Ingress {
-                senders: Some(senders),
+                open: Some((senders, sink)),
                 runs: (0..groups).map(|_| Vec::new()).collect(),
-                sink,
                 enqueued: enqueued.clone(),
                 accepted,
                 rebalancer,
@@ -875,14 +853,13 @@ impl Server {
         // and exits on disconnect.
         let (sink, accepted, rebalance) = {
             let mut ingress = locked(&self.shared.ingress);
-            ingress.senders = None;
             let rebalance = ingress.rebalancer.as_ref().map(|r| RebalanceSummary {
                 boundaries: r.boundaries(),
                 epoch: r.table().epoch(),
                 owners: r.table().owners().to_vec(),
                 migrations: ingress.migrations,
             });
-            (ingress.sink.take(), ingress.accepted, rebalance)
+            (ingress.open.take().map(|(_senders, sink)| sink), ingress.accepted, rebalance)
         };
         let mut shard_workers = Vec::with_capacity(self.shared.router.num_shards());
         let mut worker_panicked = false;
@@ -956,11 +933,7 @@ impl Server {
         for h in conns {
             let _ = h.join();
         }
-        let sink = {
-            let mut ingress = locked(&self.shared.ingress);
-            ingress.senders = None;
-            ingress.sink.take()
-        };
+        let sink = locked(&self.shared.ingress).open.take().map(|(_senders, sink)| sink);
         // Join the workers (they exit on ring disconnect) so no thread
         // outlives the "dead" service; their state is dropped unread.
         for h in self.workers.drain(..) {
@@ -1100,67 +1073,56 @@ impl Server {
             }
         }
 
-        // 4. Restore + replay the tail (or replay the whole log). With
-        //    rebalancing, the rebalancer is seeded by folding the records
-        //    the snapshot's log prefix proves (ingest appends a boundary's
-        //    record *before* any cut at the same position, so `end <=
-        //    offset` is exact), and every boundary in the replayed tail is
-        //    recomputed — and checked against its surviving record — by
+        // 4. Pick the start point, then replay from it once. The start
+        //    point is the chosen snapshot when the engine accepts it — the
+        //    rebalancer seeded by folding the records the snapshot's log
+        //    prefix proves (ingest appends a boundary's record *before*
+        //    any cut at the same position, so `end <= offset` is exact)
+        //    and the reader seeked past that prefix — or else record 0.
+        //    A checksummed snapshot the engine still refuses means a
+        //    genuinely incompatible engine (wrong forest, config or
+        //    policy) — a caller bug, not crash damage; the refusal left
+        //    `engine` untouched, so pure replay from the start is sound.
+        //    Every boundary in the replayed part is recomputed — and
+        //    checked against its surviving record — by
         //    `replay_trace_rebalancing`.
         let mut rebalancer = rebalancer_for(&cfg.rebalance, num_shards)
             .map_err(|e| io::Error::other(e.to_string()))?;
         let mut reader = TraceReader::new(File::open(&path)?)?;
-        let mut chunk = Vec::new();
         let mut migrations = 0u64;
-        let (snapshot_records, replayed) = match &chosen {
-            Some(snap) => match engine.restore_snapshot(snap) {
-                Ok(()) => {
-                    if let Some(reb) = rebalancer.as_mut() {
-                        for (record, end) in &rebalance_records {
-                            if *end <= snap.meta.log.offset {
-                                reb.fold_record(record).map_err(|e| {
-                                    io::Error::other(format!(
-                                        "rebalance record in the durable log prefix is \
-                                         inconsistent: {e}"
-                                    ))
-                                })?;
-                                migrations += record.moves.len() as u64;
-                            }
+        let mut snapshot_records = None;
+        if let Some(snap) = &chosen {
+            if engine.restore_snapshot(snap).is_ok() {
+                if let Some(reb) = rebalancer.as_mut() {
+                    for (record, end) in &rebalance_records {
+                        if *end <= snap.meta.log.offset {
+                            reb.fold_record(record).map_err(|e| {
+                                io::Error::other(format!(
+                                    "rebalance record in the durable log prefix is \
+                                     inconsistent: {e}"
+                                ))
+                            })?;
+                            migrations += record.moves.len() as u64;
                         }
                     }
-                    reader.seek_to(snap.meta.log.offset, snap.meta.log.records)?;
-                    let (replayed, moves) = replay_tail_into(
-                        &mut engine,
-                        &mut reader,
-                        rebalancer.as_mut(),
-                        &mut chunk,
-                    )?;
-                    migrations += moves;
-                    (Some(snap.meta.log.records), replayed)
                 }
-                // A checksummed snapshot the engine still refuses means a
-                // genuinely incompatible engine (wrong forest, config or
-                // policy) — a caller bug, not crash damage. The refusal
-                // left `engine` untouched (and the rebalancer has not been
-                // seeded yet): fall back to pure replay from the start.
-                Err(_) => {
-                    snapshots_skipped += 1;
-                    let (replayed, moves) = replay_tail_into(
-                        &mut engine,
-                        &mut reader,
-                        rebalancer.as_mut(),
-                        &mut chunk,
-                    )?;
-                    migrations += moves;
-                    (None, replayed)
-                }
-            },
-            None => {
-                let (replayed, moves) =
-                    replay_tail_into(&mut engine, &mut reader, rebalancer.as_mut(), &mut chunk)?;
-                migrations += moves;
-                (None, replayed)
+                reader.seek_to(snap.meta.log.offset, snap.meta.log.records)?;
+                snapshot_records = Some(snap.meta.log.records);
+            } else {
+                snapshots_skipped += 1;
             }
+        }
+        let replay_failed = |e: EngineError| io::Error::other(e.to_string());
+        let mut chunk = Vec::new();
+        let replayed = match rebalancer.as_mut() {
+            Some(reb) => {
+                let out =
+                    otc_sim::replay_trace_rebalancing(&mut engine, &mut reader, reb, &mut chunk)
+                        .map_err(replay_failed)?;
+                migrations += out.schedule.iter().map(|r| r.moves.len() as u64).sum::<u64>();
+                out.replayed
+            }
+            None => engine.replay_tail(&mut reader, &mut chunk).map_err(replay_failed)?.replayed,
         };
         drop(reader);
 
@@ -1179,7 +1141,7 @@ impl Server {
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
         let writer =
             TraceWriter::resume_with_flags(BufWriter::new(file), header, 0, good_records, flags)?;
-        let sink = Some(TraceSink::File(writer, path));
+        let sink = TraceSink::File(writer, path);
 
         let stats = ServeStats {
             rounds: shard_workers.iter().map(ShardWorker::rounds).sum(),
@@ -1277,32 +1239,6 @@ fn rebalancer_for(
             Ok(Some(Rebalancer::new(policy.config, table)))
         }
         None => Ok(None),
-    }
-}
-
-/// Replays the rest of `reader` into `engine`: through
-/// [`otc_sim::replay_trace_rebalancing`] (recomputing and verifying the
-/// rebalance schedule) when the service rebalances, through the plain
-/// engine path otherwise. Returns `(requests replayed, cells migrated)`
-/// so resume can seed the migration counter exactly.
-fn replay_tail_into(
-    engine: &mut ShardedEngine<'static>,
-    reader: &mut TraceReader<File>,
-    rebalancer: Option<&mut Rebalancer>,
-    chunk: &mut Vec<Request>,
-) -> io::Result<(u64, u64)> {
-    match rebalancer {
-        Some(reb) => {
-            let out = otc_sim::replay_trace_rebalancing(engine, reader, reb, chunk)
-                .map_err(|e| io::Error::other(e.to_string()))?;
-            let moves = out.schedule.iter().map(|r| r.moves.len() as u64).sum();
-            Ok((out.replayed, moves))
-        }
-        None => {
-            let stats =
-                engine.replay_tail(reader, chunk).map_err(|e| io::Error::other(e.to_string()))?;
-            Ok((stats.replayed, 0))
-        }
     }
 }
 

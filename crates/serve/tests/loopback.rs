@@ -145,9 +145,7 @@ fn stats_are_exact_after_drain() {
     let tree = Tree::star(24);
     let forest = Forest::partition(&tree, 3);
     let engine = ShardedEngine::new(forest.clone(), &factory, EngineConfig::new(ALPHA));
-    let server =
-        Server::start(engine, ServeConfig { log: TraceLog::Off, ..ServeConfig::default() })
-            .expect("bind");
+    let server = Server::start(engine, ServeConfig::default()).expect("bind");
 
     let reqs = mixed(25, 2000, 77);
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -167,9 +165,7 @@ fn stats_are_exact_after_drain() {
 
     client.bye().expect("bye");
     let outcome = server.shutdown().expect("clean shutdown");
-    assert_eq!(outcome.report, report, "no-log service still matches offline batch");
-    assert!(outcome.trace_bytes.is_none());
-    assert!(outcome.trace_path.is_none());
+    assert_eq!(outcome.report, report, "the service still matches the offline batch");
 }
 
 /// Out-of-universe requests are rejected atomically — the offending

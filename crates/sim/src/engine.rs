@@ -16,9 +16,7 @@
 //!   threads ([`otc_util::parallel_map_mut`]); per-shard order is the
 //!   batch's arrival order, so results are deterministic regardless of
 //!   thread count;
-//! * [`ShardedEngine::submit_trace`] — parses a serialized request trace
-//!   (`otc_workloads::trace` line format) and batch-submits it;
-//! * [`ShardedEngine::replay_trace`] — streams a **binary** trace
+//! * [`ShardedEngine::replay_trace`] — streams an OTCT trace
 //!   (`otc_workloads::trace::TraceReader`) through the engine in reused
 //!   chunks, so persisted workloads replay bit-identically without being
 //!   materialised;
@@ -33,6 +31,7 @@
 //! engine produces bit-identical [`Report`]s to those drivers —
 //! `crates/sim/tests/proptest_engine.rs` pins that differentially.
 
+use std::io::Read;
 use std::sync::Arc;
 
 use otc_core::cache::CacheSet;
@@ -40,10 +39,16 @@ use otc_core::forest::{Forest, ShardId};
 use otc_core::policy::{CachePolicy, PolicyFactory};
 use otc_core::request::Request;
 use otc_core::tree::Tree;
+use otc_workloads::trace::{TraceEvent, TraceReader};
 
+use crate::rebalance::{RebalanceReplay, Rebalancer};
 use crate::report::Report;
 use crate::runner::{Driver, SimConfig};
 use crate::telemetry::{Timeline, WindowRecord};
+
+/// Replay chunk capacity given to a fresh (zero-capacity) buffer: 64Ki
+/// requests, large enough to amortise each batch's parallel drain.
+const DEFAULT_REPLAY_CHUNK: usize = 64 * 1024;
 
 /// Engine options: a builder-style superset of [`SimConfig`] (verification
 /// mode, α, instrumentation) plus the engine-level knobs (audit/fold
@@ -771,76 +776,132 @@ impl<'p> ShardedEngine<'p> {
         Ok(())
     }
 
-    /// Parses a serialized request trace (the `otc_workloads::trace` line
-    /// format: `+id` / `-id`, comments and blanks ignored) and submits it
-    /// as one batch.
-    ///
-    /// # Errors
-    /// Parse errors (with line numbers), routing errors, and protocol
-    /// violations.
-    pub fn submit_trace(&mut self, text: &str) -> Result<(), EngineError> {
-        let reqs = otc_workloads::trace::from_text(text)
-            .map_err(|message| EngineError { shard: None, message })?;
-        self.submit_batch(&reqs)
-    }
-
-    /// Streams a **binary** trace (`otc_workloads::trace` format) through
-    /// the engine: validates the trace's declared universe against the
-    /// forest, then repeatedly fills `chunk` (up to its capacity; a fresh
-    /// buffer is given a 64Ki-request default) and batch-submits it — so
-    /// arbitrarily long file-backed traces replay without ever being
-    /// materialised, and steady-state replay rounds stay allocation-free
-    /// once `chunk` and the shard queues are warm.
+    /// Streams an OTCT trace through the engine: validates the trace's
+    /// declared universe against the forest, then repeatedly fills `chunk`
+    /// (up to its capacity; a fresh buffer is given a 64Ki-request
+    /// default) and batch-submits it — so arbitrarily long file-backed
+    /// traces replay without ever being materialised, and steady-state
+    /// replay rounds stay allocation-free once `chunk` and the shard
+    /// queues are warm. Rebalance records are skipped.
     ///
     /// Replaying a recorded trace is bit-identical to submitting the
     /// generating sequence in memory (pinned by
     /// `crates/sim/tests/trace_replay.rs`).
     ///
     /// # Errors
-    /// Universe mismatches, trace I/O/corruption errors (with the record
-    /// index), routing errors, and protocol violations.
-    pub fn replay_trace<R: std::io::Read>(
+    /// Universe mismatches, trace I/O/corruption errors (a torn tail
+    /// included, with the record index), routing errors, and protocol
+    /// violations.
+    pub fn replay_trace<R: Read>(
         &mut self,
-        reader: &mut otc_workloads::trace::TraceReader<R>,
+        reader: &mut TraceReader<R>,
         chunk: &mut Vec<Request>,
     ) -> Result<(), EngineError> {
+        self.replay_events(reader, chunk, None, false).map(drop)
+    }
+
+    /// The one replay loop behind [`ShardedEngine::replay_trace`],
+    /// [`ShardedEngine::replay_tail`] and
+    /// [`replay_trace_rebalancing`](crate::rebalance::replay_trace_rebalancing):
+    /// checks the trace's declared universe against the forest, then reads
+    /// events into `chunk` (reused; a fresh buffer gets
+    /// [`DEFAULT_REPLAY_CHUNK`] requests of capacity) and submits each
+    /// full chunk.
+    ///
+    /// With a `rebalancer`, a boundary fires when the reader's absolute
+    /// record count reaches [`Rebalancer::next_boundary_at`] — the chunk
+    /// is submitted first, so the boundary samples exactly its prefix —
+    /// and every rebalance record is verified against the recomputed
+    /// decision. Without one, rebalance records are skipped. A torn tail
+    /// (`UnexpectedEof`) ends the replay when `torn_tail_ends` is set and
+    /// is an error otherwise; any other trace error is always an error.
+    pub(crate) fn replay_events<R: Read>(
+        &mut self,
+        reader: &mut TraceReader<R>,
+        chunk: &mut Vec<Request>,
+        mut rebalancer: Option<&mut Rebalancer>,
+        torn_tail_ends: bool,
+    ) -> Result<RebalanceReplay, EngineError> {
         self.check_live()?;
+        let plain = |message: String| EngineError { shard: None, message };
         if let Some(f) = &self.forest {
             let universe = reader.header().universe;
             if universe > 0 && universe as usize != f.global_len() {
-                return Err(EngineError {
-                    shard: None,
-                    message: format!(
-                        "trace declares a universe of {universe} nodes but the forest has {}",
-                        f.global_len()
-                    ),
-                });
+                return Err(plain(format!(
+                    "trace declares a universe of {universe} nodes but the forest has {}",
+                    f.global_len()
+                )));
             }
         }
-        const DEFAULT_REPLAY_CHUNK: usize = 64 * 1024;
         if chunk.capacity() == 0 {
             chunk.reserve_exact(DEFAULT_REPLAY_CHUNK);
         }
         let limit = chunk.capacity();
+        chunk.clear();
+        let mut out = RebalanceReplay::default();
+        let mut last_verified = rebalancer.as_ref().map_or(0, |r| r.boundaries());
         loop {
-            chunk.clear();
-            while chunk.len() < limit {
-                match reader.next() {
-                    Some(Ok(r)) => chunk.push(r),
-                    Some(Err(e)) => {
-                        return Err(EngineError {
-                            shard: None,
-                            message: format!("trace replay failed: {e}"),
-                        });
-                    }
-                    None => break,
+            let event = match reader.next_event() {
+                Ok(Some(event)) => event,
+                Ok(None) => break,
+                Err(e) if torn_tail_ends && e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                    out.torn_tail = true;
+                    break;
                 }
+                Err(e) => return Err(plain(format!("trace replay failed: {e}"))),
+            };
+            match (event, rebalancer.as_deref_mut()) {
+                (TraceEvent::Request(r), reb) => {
+                    chunk.push(r);
+                    let boundary =
+                        reb.filter(|reb| reader.records_read() == reb.next_boundary_at());
+                    if boundary.is_some() || chunk.len() >= limit {
+                        out.replayed += chunk.len() as u64;
+                        self.submit_batch(chunk)?;
+                        chunk.clear();
+                    }
+                    if let Some(reb) = boundary {
+                        let loads = self.cell_loads()?;
+                        out.schedule.push(reb.on_boundary(&loads).map_err(plain)?);
+                    }
+                }
+                (TraceEvent::Rebalance(record), Some(_)) => {
+                    let Some(expect) = out.schedule.last() else {
+                        return Err(plain(format!(
+                            "rebalance record for boundary {} appears before any boundary \
+                             was crossed",
+                            record.boundary
+                        )));
+                    };
+                    if record.boundary <= last_verified {
+                        return Err(plain(format!(
+                            "duplicate rebalance record for boundary {}",
+                            record.boundary
+                        )));
+                    }
+                    if record != *expect {
+                        return Err(plain(format!(
+                            "rebalance record for boundary {} does not match the decision \
+                             recomputed from the request stream (recomputed boundary {}, \
+                             epoch {}, {} moves)",
+                            record.boundary,
+                            expect.boundary,
+                            expect.epoch,
+                            expect.moves.len()
+                        )));
+                    }
+                    last_verified = record.boundary;
+                    out.verified += 1;
+                }
+                (TraceEvent::Rebalance(_), None) => {}
             }
-            if chunk.is_empty() {
-                return Ok(());
-            }
-            self.submit_batch(chunk)?;
         }
+        if !chunk.is_empty() {
+            out.replayed += chunk.len() as u64;
+            self.submit_batch(chunk)?;
+            chunk.clear();
+        }
+        Ok(out)
     }
 
     /// Samples every shard's cumulative load counters — rounds, paid
@@ -1049,57 +1110,13 @@ impl<'p> ShardedEngine<'p> {
     /// # Errors
     /// Universe mismatches, non-EOF trace errors, routing errors, and
     /// protocol violations.
-    pub fn replay_tail<R: std::io::Read>(
+    pub fn replay_tail<R: Read>(
         &mut self,
-        reader: &mut otc_workloads::trace::TraceReader<R>,
+        reader: &mut TraceReader<R>,
         chunk: &mut Vec<Request>,
     ) -> Result<crate::snapshot::RecoverStats, EngineError> {
-        self.check_live()?;
-        if let Some(f) = &self.forest {
-            let universe = reader.header().universe;
-            if universe > 0 && universe as usize != f.global_len() {
-                return Err(EngineError {
-                    shard: None,
-                    message: format!(
-                        "trace declares a universe of {universe} nodes but the forest has {}",
-                        f.global_len()
-                    ),
-                });
-            }
-        }
-        const DEFAULT_REPLAY_CHUNK: usize = 64 * 1024;
-        if chunk.capacity() == 0 {
-            chunk.reserve_exact(DEFAULT_REPLAY_CHUNK);
-        }
-        let limit = chunk.capacity();
-        let mut stats = crate::snapshot::RecoverStats::default();
-        loop {
-            chunk.clear();
-            while chunk.len() < limit {
-                match reader.next() {
-                    Some(Ok(r)) => chunk.push(r),
-                    Some(Err(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                        stats.torn_tail = true;
-                        break;
-                    }
-                    Some(Err(e)) => {
-                        return Err(EngineError {
-                            shard: None,
-                            message: format!("trace replay failed: {e}"),
-                        });
-                    }
-                    None => break,
-                }
-            }
-            if chunk.is_empty() {
-                return Ok(stats);
-            }
-            stats.replayed += chunk.len() as u64;
-            self.submit_batch(chunk)?;
-            if stats.torn_tail {
-                return Ok(stats);
-            }
-        }
+        let out = self.replay_events(reader, chunk, None, true)?;
+        Ok(crate::snapshot::RecoverStats { replayed: out.replayed, torn_tail: out.torn_tail })
     }
 
     /// Crash recovery: restores `snap`, seeks `reader` to the snapshot's
@@ -1114,10 +1131,10 @@ impl<'p> ShardedEngine<'p> {
     /// # Errors
     /// Restore failures, seek I/O errors, and everything
     /// [`ShardedEngine::replay_tail`] can return.
-    pub fn recover<R: std::io::Read + std::io::Seek>(
+    pub fn recover<R: Read + std::io::Seek>(
         &mut self,
         snap: &crate::snapshot::EngineSnapshot,
-        reader: &mut otc_workloads::trace::TraceReader<R>,
+        reader: &mut TraceReader<R>,
         chunk: &mut Vec<Request>,
     ) -> Result<crate::snapshot::RecoverStats, EngineError> {
         self.restore_snapshot(snap)?;
@@ -1335,39 +1352,6 @@ mod tests {
             ShardedEngine::new(Forest::partition(&tree, 2), &factory, EngineConfig::new(2));
         let err = engine.submit(Request::pos(NodeId(99))).unwrap_err();
         assert!(err.message.contains("99"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn trace_submission_round_trips() {
-        let tree = Arc::new(Tree::star(4));
-        let reqs = vec![
-            Request::pos(NodeId(1)),
-            Request::pos(NodeId(1)),
-            Request::neg(NodeId(2)),
-            Request::pos(NodeId(3)),
-        ];
-        let text = otc_workloads::trace::to_text(&reqs);
-
-        let factory = tc_factory(2, 2);
-        let mut via_trace =
-            ShardedEngine::new(Forest::single(Arc::clone(&tree)), &factory, EngineConfig::new(2));
-        via_trace.submit_trace(&text).expect("valid");
-        let mut via_batch =
-            ShardedEngine::new(Forest::single(Arc::clone(&tree)), &factory, EngineConfig::new(2));
-        via_batch.submit_batch(&reqs).expect("valid");
-        assert_eq!(
-            via_trace.into_report().expect("valid"),
-            via_batch.into_report().expect("valid")
-        );
-    }
-
-    #[test]
-    fn malformed_trace_is_reported() {
-        let tree = Arc::new(Tree::star(2));
-        let factory = tc_factory(2, 2);
-        let mut engine = ShardedEngine::new(Forest::single(tree), &factory, EngineConfig::new(2));
-        let err = engine.submit_trace("+1\nnot-a-request\n").unwrap_err();
-        assert!(err.message.contains("line 2"), "unexpected error: {err}");
     }
 
     #[test]

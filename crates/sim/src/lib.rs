@@ -25,7 +25,7 @@
 //! time-resolved [`telemetry::Timeline`]: per-window, per-shard counters
 //! (cost breakdown by fetch/evict/flush, occupancy, action-buffer
 //! high-water marks) snapshotted at `audit_every` boundaries and
-//! exportable as JSON/CSV — see [`telemetry`].
+//! exportable as JSON — see [`telemetry`].
 //!
 //! For long-lived serving (the `otc-serve` runtime), the engine comes
 //! apart: [`engine::ShardedEngine::into_workers`] detaches one `Send`

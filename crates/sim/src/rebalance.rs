@@ -33,7 +33,7 @@
 use otc_core::forest::{RoutingTable, ShardId};
 use otc_core::request::Request;
 use otc_workloads::rebalance::{CellLoad, RebalanceRecord};
-use otc_workloads::trace::{TraceEvent, TraceReader};
+use otc_workloads::trace::TraceReader;
 
 use crate::engine::{EngineError, ShardedEngine};
 
@@ -322,7 +322,9 @@ pub struct RebalanceReplay {
 ///
 /// A torn tail (`UnexpectedEof`) ends the replay normally, like
 /// [`ShardedEngine::replay_tail`]; in-universe corruption is a hard
-/// error.
+/// error. It runs the same replay loop as [`ShardedEngine::replay_trace`],
+/// so it refuses a trace whose declared universe differs from the
+/// forest's, too.
 ///
 /// # Errors
 /// Trace corruption, a record that contradicts the recomputed decision
@@ -334,81 +336,17 @@ pub fn replay_trace_rebalancing<R: std::io::Read>(
     rebalancer: &mut Rebalancer,
     chunk: &mut Vec<Request>,
 ) -> Result<RebalanceReplay, EngineError> {
-    let plain = |message: String| EngineError { shard: None, message };
     if engine.num_shards() != rebalancer.table().num_cells() {
-        return Err(plain(format!(
-            "engine has {} shards but the rebalancer routes {} cells",
-            engine.num_shards(),
-            rebalancer.table().num_cells()
-        )));
+        return Err(EngineError {
+            shard: None,
+            message: format!(
+                "engine has {} shards but the rebalancer routes {} cells",
+                engine.num_shards(),
+                rebalancer.table().num_cells()
+            ),
+        });
     }
-    const DEFAULT_REPLAY_CHUNK: usize = 64 * 1024;
-    if chunk.capacity() == 0 {
-        chunk.reserve_exact(DEFAULT_REPLAY_CHUNK);
-    }
-    let limit = chunk.capacity();
-    chunk.clear();
-    let mut out = RebalanceReplay::default();
-    let mut last_verified = rebalancer.boundaries();
-    loop {
-        match reader.next_event() {
-            Ok(Some(TraceEvent::Request(r))) => {
-                chunk.push(r);
-                if reader.records_read() == rebalancer.next_boundary_at() {
-                    out.replayed += chunk.len() as u64;
-                    engine.submit_batch(chunk)?;
-                    chunk.clear();
-                    let loads = engine.cell_loads()?;
-                    let record = rebalancer.on_boundary(&loads).map_err(plain)?;
-                    out.schedule.push(record);
-                } else if chunk.len() >= limit {
-                    out.replayed += chunk.len() as u64;
-                    engine.submit_batch(chunk)?;
-                    chunk.clear();
-                }
-            }
-            Ok(Some(TraceEvent::Rebalance(record))) => {
-                let Some(expect) = out.schedule.last() else {
-                    return Err(plain(format!(
-                        "rebalance record for boundary {} appears before any boundary \
-                         was crossed",
-                        record.boundary
-                    )));
-                };
-                if record.boundary <= last_verified {
-                    return Err(plain(format!(
-                        "duplicate rebalance record for boundary {}",
-                        record.boundary
-                    )));
-                }
-                if record != *expect {
-                    return Err(plain(format!(
-                        "rebalance record for boundary {} does not match the decision \
-                         recomputed from the request stream (recomputed boundary {}, \
-                         epoch {}, {} moves)",
-                        record.boundary,
-                        expect.boundary,
-                        expect.epoch,
-                        expect.moves.len()
-                    )));
-                }
-                last_verified = record.boundary;
-                out.verified += 1;
-            }
-            Ok(None) => break,
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                out.torn_tail = true;
-                break;
-            }
-            Err(e) => return Err(plain(format!("trace replay failed: {e}"))),
-        }
-    }
-    if !chunk.is_empty() {
-        out.replayed += chunk.len() as u64;
-        engine.submit_batch(chunk)?;
-        chunk.clear();
-    }
-    Ok(out)
+    engine.replay_events(reader, chunk, Some(rebalancer), true)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! back with `ShardedEngine::timeline()`.
 //!
 //! Export is hand-rolled JSON (`schema: "otc-timeline-v1"`, one window
-//! object per line) and CSV, for plotting tools.
+//! object per line), for plotting tools.
 
 /// Telemetry counters for one window of one shard.
 ///
@@ -197,45 +197,6 @@ impl Timeline {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Renders the timeline as CSV (one header row, one row per window).
-    /// Like the JSON form, `reorg_cost` and `imbalance_x1000` are derived
-    /// columns.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let imbalance = self.imbalance_by_window();
-        let mut out = String::with_capacity(64 + self.windows.len() * 80);
-        out.push_str(
-            "shard,window,start_round,rounds,paid_rounds,fetch_events,evict_events,flush_events,\
-             nodes_fetched,nodes_evicted,nodes_flushed,occupancy,buf_high_water,reorg_cost,\
-             imbalance_x1000,partial\n",
-        );
-        use std::fmt::Write as _;
-        for w in &self.windows {
-            writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                w.shard,
-                w.window,
-                w.start_round,
-                w.rounds,
-                w.paid_rounds,
-                w.fetch_events,
-                w.evict_events,
-                w.flush_events,
-                w.nodes_fetched,
-                w.nodes_evicted,
-                w.nodes_flushed,
-                w.occupancy,
-                w.buf_high_water,
-                w.reorg_cost(self.alpha),
-                imbalance.get(&w.window).copied().unwrap_or(0),
-                w.partial,
-            )
-            .expect("String writes cannot fail");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -297,15 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_one_row_per_window() {
-        let tl = sample();
-        let csv = tl.to_csv();
-        assert_eq!(csv.lines().count(), 1 + tl.windows.len());
-        assert!(csv.lines().nth(1).unwrap().starts_with("0,0,0,100,40,"));
-        assert!(csv.ends_with("true\n"));
-    }
-
-    #[test]
     fn imbalance_tracks_skew_and_round_trips() {
         let tl = sample();
         // Window 0 loads: shard 0 = 100+40 = 140, shard 1 = 60+9 = 69;
@@ -313,10 +265,8 @@ mod tests {
         assert_eq!(tl.imbalance_x1000(0), Some(1339));
         assert_eq!(tl.imbalance_x1000(7), None, "no such window");
         let json = tl.to_json();
-        assert!(json.contains("\"imbalance_x1000\": 1339"));
-        let csv = tl.to_csv();
-        assert!(csv.lines().next().unwrap().ends_with("imbalance_x1000,partial"));
-        assert!(csv.lines().nth(1).unwrap().contains(",1339,false"));
+        let first = json.lines().find(|l| l.contains("{ \"shard\": 0,")).unwrap();
+        assert!(first.ends_with("\"imbalance_x1000\": 1339, \"partial\": false },"));
         // Perfectly balanced loads sit at exactly 1000.
         let mut even = tl.clone();
         even.windows[1] = WindowRecord { shard: 1, rounds: 100, paid_rounds: 40, ..tl.windows[0] };

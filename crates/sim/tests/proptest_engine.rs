@@ -6,7 +6,6 @@
 //! * A multi-shard engine over a forest of independent trees equals the
 //!   per-shard independent runs exactly, shard by shard, for any thread
 //!   count.
-//! * Trace-text submission equals in-memory batch submission.
 
 use std::sync::Arc;
 
@@ -81,18 +80,6 @@ proptest! {
         engine.submit_batch(&reqs).map_err(|e| TestCaseError::fail(e.to_string()))?;
         let report = engine.into_report().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(&report, &streamed, "engine vs run_stream");
-
-        // Trace-text ingestion equals in-memory batch ingestion.
-        let mut engine = ShardedEngine::new(
-            Forest::single(Arc::clone(&tree)),
-            &factory,
-            EngineConfig::new(alpha),
-        );
-        engine
-            .submit_trace(&otc_workloads::trace::to_text(&reqs))
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        let via_trace = engine.into_report().map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(&via_trace, &legacy, "trace vs batch");
     }
 
     #[test]

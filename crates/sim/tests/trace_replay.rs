@@ -11,13 +11,13 @@
 use std::io::Cursor;
 use std::sync::Arc;
 
-use otc_core::forest::{Forest, ShardId};
+use otc_core::forest::{Forest, RoutingTable, ShardId};
 use otc_core::policy::CachePolicy;
 use otc_core::tc::{TcConfig, TcFast};
 use otc_core::tree::Tree;
 use otc_core::Request;
 use otc_sim::engine::{EngineConfig, ShardedEngine};
-use otc_sim::Report;
+use otc_sim::{replay_trace_rebalancing, RebalanceConfig, Rebalancer, Report};
 use otc_util::SplitMix64;
 use otc_workloads::trace::{Trace, TraceHeader, TraceReader};
 use otc_workloads::{
@@ -101,6 +101,9 @@ fn recorded_multi_tenant_trace_replays_across_shards_and_threads() {
 
 #[test]
 fn replay_rejects_universe_mismatch() {
+    // A trace declaring 99 nodes whose one record falls inside the 9-node
+    // star: every replay entry point must refuse it up front, and leave
+    // the engine live.
     let tree = Arc::new(Tree::star(8));
     let trace = Trace {
         header: TraceHeader::single_tree(99, 0, "wrong-universe"),
@@ -110,9 +113,22 @@ fn replay_rejects_universe_mismatch() {
     let factory = tc_factory(2, 4);
     let mut engine =
         ShardedEngine::new(Forest::single(Arc::clone(&tree)), &factory, EngineConfig::new(2));
-    let mut reader = TraceReader::new(Cursor::new(bytes.as_slice())).expect("valid header");
-    let err = engine.replay_trace(&mut reader, &mut Vec::new()).unwrap_err();
-    assert!(err.message.contains("universe"), "unexpected error: {err}");
+    let reader = || TraceReader::new(Cursor::new(bytes.as_slice())).expect("valid header");
+    let errors = [
+        engine.replay_trace(&mut reader(), &mut Vec::new()).unwrap_err(),
+        engine.replay_tail(&mut reader(), &mut Vec::new()).unwrap_err(),
+        // One cell, one group.
+        replay_trace_rebalancing(
+            &mut engine,
+            &mut reader(),
+            &mut Rebalancer::new(RebalanceConfig::new(100), RoutingTable::new(vec![0], 1).unwrap()),
+            &mut Vec::new(),
+        )
+        .unwrap_err(),
+    ];
+    for err in errors {
+        assert!(err.message.contains("universe"), "unexpected error: {err}");
+    }
     // The engine is not poisoned by a rejected replay.
     engine.submit(Request::pos(otc_core::tree::NodeId(1))).expect("still live");
 }

@@ -17,7 +17,7 @@
 //! * [`ring`] — bounded FIFO queues: a fixed-capacity [`ring::Ring`] core
 //!   plus a blocking MPSC [`ring::channel`] with backpressure, the
 //!   ingress→worker hand-off of the `otc-serve` serving runtime.
-//! * [`table`] — minimal markdown/CSV table rendering for experiment output.
+//! * [`table`] — minimal markdown table rendering for experiment output.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,4 +1,4 @@
-//! Minimal table rendering (markdown and CSV) for experiment binaries.
+//! Minimal markdown table rendering for experiment binaries.
 //!
 //! Every `exp_*` binary prints its results through [`Table`] so that
 //! `EXPERIMENTS.md` rows can be regenerated by copy-paste.
@@ -72,17 +72,6 @@ impl Table {
         let _ = cols;
         out
     }
-
-    /// Renders as CSV (no quoting — experiment cells never contain commas).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
 }
 
 /// Formats a float with a sensible number of digits for tables.
@@ -116,14 +105,6 @@ mod tests {
         // All rows render with identical width.
         assert_eq!(lines[0].len(), lines[2].len());
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let mut t = Table::new(["a", "b", "c"]);
-        t.row(["1", "2", "3"]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b,c\n1,2,3\n");
     }
 
     #[test]

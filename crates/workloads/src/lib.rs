@@ -9,15 +9,14 @@
 //!   diurnal (per-shard Zipf skew, globally addressed for the sharded
 //!   engine);
 //! * [`trace`] — persistent workload traces: the versioned binary format
-//!   with streaming [`trace::TraceWriter`] / [`trace::TraceReader`], and
-//!   the human-editable line format;
+//!   with streaming [`trace::TraceWriter`] / [`trace::TraceReader`];
 //! * [`rebalance`] — the rebalance-record codec: per-boundary cell loads
 //!   and migration decisions, interleavable with requests in a
 //!   [`trace::TRACE_FLAG_REBALANCE`]-flagged trace so a live run's
 //!   resharding schedule replays (and verifies) from its own log;
 //! * [`wire`] — the shared request-record codec (LEB128 varints, the
-//!   `(node << 1) | sign` record payload, sign characters) behind both
-//!   the trace formats and the `otc-serve` wire protocol;
+//!   `(node << 1) | sign` record payload) behind both the trace format
+//!   and the `otc-serve` wire protocol;
 //! * [`fib_churn`] — FIB lookup/flap traces synthesized from an
 //!   `otc_trie::RuleTree`'s real prefix-containment structure;
 //! * [`adversary`] — the adaptive paging adversary of the Ω(R) lower bound
@@ -48,8 +47,5 @@ pub use requests::{
     MarkovBurstyConfig, MixedConfig, TenantProfile,
 };
 pub use search::{adversarial_search, SearchOutcome};
-pub use trace::{
-    from_text, to_text, Trace, TraceEvent, TraceHeader, TraceReader, TraceWriter,
-    TRACE_FLAG_REBALANCE,
-};
+pub use trace::{Trace, TraceEvent, TraceHeader, TraceReader, TraceWriter, TRACE_FLAG_REBALANCE};
 pub use trees::{broom, random_attachment, random_bounded_degree, random_window};

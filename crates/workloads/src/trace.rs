@@ -1,25 +1,22 @@
-//! Persistent workload traces.
+//! Persistent workload traces: the **OTCT binary format**, the one
+//! encoding of a request sequence with provenance, so any workload — and
+//! every live service's request log — can be recorded once and replayed
+//! bit-identically across processes and machines.
 //!
-//! Two interchangeable encodings of one thing — a request sequence with
-//! provenance — so any workload can be recorded once and replayed
-//! bit-identically across processes and machines:
-//!
-//! * the **binary format** (`.otct`): a versioned header
-//!   ([`TraceHeader`]: universe size, shard map, seed provenance) followed
-//!   by LEB128-packed requests. [`TraceWriter`] streams requests out;
-//!   [`TraceReader`] streams them back in (it is an `Iterator`), which is
-//!   what `ShardedEngine::replay_trace` consumes for file-backed replay
-//!   without materialising the whole sequence;
-//! * the **line format** (`+17` / `-4`, comments and blanks ignored) —
-//!   human-editable, accepted directly by `ShardedEngine::submit_trace`.
+//! A trace (`.otct`) is a versioned header ([`TraceHeader`]: universe
+//! size, shard map, seed provenance) followed by LEB128-packed requests.
+//! [`TraceWriter`] streams requests out; [`TraceReader`] streams them back
+//! in (it is an `Iterator`), which is what `ShardedEngine::replay_trace`
+//! consumes for file-backed replay without materialising the whole
+//! sequence.
 //!
 //! The binary layout is specified normatively in `DESIGN.md` ("The trace
 //! format"). All multi-byte integers are **little-endian**; requests are
 //! LEB128 varints of `(node_id << 1) | is_negative`, so hot small node ids
-//! cost one byte. The record codec itself (varint + request payload +
-//! sign characters) lives in [`crate::wire`] and is shared with the
-//! `otc-serve` wire protocol — a live service's log is byte-compatible
-//! with these readers by construction.
+//! cost one byte. The record codec itself (varint + request payload)
+//! lives in [`crate::wire`] and is shared with the `otc-serve` wire
+//! protocol — a live service's log is byte-compatible with these readers
+//! by construction.
 //!
 //! A stream whose header sets [`TRACE_FLAG_REBALANCE`] may interleave
 //! **rebalance records** ([`crate::rebalance::RebalanceRecord`]) with its
@@ -42,7 +39,6 @@
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 use otc_core::request::Request;
-use otc_core::tree::NodeId;
 
 use crate::rebalance::RebalanceRecord;
 
@@ -115,7 +111,7 @@ impl TraceHeader {
     /// trailing record-count field. The first record of the trace body
     /// starts at this offset from the trace origin — the anchor for
     /// byte-addressed recovery ([`TraceReader::byte_pos`],
-    /// [`TraceWriter::resume`]).
+    /// [`TraceWriter::resume_with_flags`]).
     #[must_use]
     pub fn encoded_len(&self) -> u64 {
         // magic + version + flags + universe + seed + shard count
@@ -298,28 +294,21 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// `origin` is the byte offset of the trace's start within the sink
     /// (`0` for a plain log file) and `count` the number of records the
     /// prefix holds; the caller must have truncated the sink to the end of
-    /// the good prefix (e.g. [`TraceReader::byte_pos`] after replay). The
-    /// record count in the header is immediately re-stamped to
-    /// [`COUNT_UNKNOWN`]: a gracefully finished log carries a patched
-    /// count that would otherwise hide post-resume appends from readers if
-    /// the process crashes again before [`TraceWriter::finish`].
+    /// the good prefix (e.g. [`TraceReader::byte_pos`] after replay).
+    /// `flags` is the header flag word (as reported by
+    /// [`TraceReader::flags`] during the recovery scan). The on-disk flag
+    /// word is not rewritten — it was stamped when the log was created;
+    /// the writer only needs to know it to keep accepting
+    /// [`TraceWriter::push_rebalance`] after resume. The record count in
+    /// the header is immediately re-stamped to [`COUNT_UNKNOWN`]: a
+    /// gracefully finished log carries a patched count that would
+    /// otherwise hide post-resume appends from readers if the process
+    /// crashes again before [`TraceWriter::finish`].
     ///
     /// # Errors
     /// Propagates I/O errors; rejects headers [`TraceWriter::new`] would
-    /// reject and sinks shorter than `origin` plus the header.
-    pub fn resume(sink: W, header: TraceHeader, origin: u64, count: u64) -> io::Result<Self> {
-        Self::resume_with_flags(sink, header, origin, count, 0)
-    }
-
-    /// [`TraceWriter::resume`] for a stream whose header carries `flags`
-    /// (as reported by [`TraceReader::flags`] during the recovery scan).
-    /// The on-disk flag word is not rewritten — it was stamped when the
-    /// log was created; the writer only needs to know it to keep
-    /// accepting [`TraceWriter::push_rebalance`] after resume.
-    ///
-    /// # Errors
-    /// Everything [`TraceWriter::resume`] rejects, plus unknown flag
-    /// bits.
+    /// reject, unknown flag bits, and sinks shorter than `origin` plus the
+    /// header.
     pub fn resume_with_flags(
         mut sink: W,
         header: TraceHeader,
@@ -604,8 +593,8 @@ impl<R: Read> TraceReader<R> {
     /// record yielded: exactly the bytes consumed parsing the header and
     /// every successful record. A torn or rejected record never advances
     /// it, so after a trailing `UnexpectedEof` this is the end of the good
-    /// prefix a torn log recovers to ([`TraceWriter::resume`] appends
-    /// there after the caller truncates).
+    /// prefix a torn log recovers to ([`TraceWriter::resume_with_flags`]
+    /// appends there after the caller truncates).
     #[must_use]
     pub fn byte_pos(&self) -> u64 {
         self.good_pos
@@ -736,62 +725,6 @@ fn read_u64<R: Read>(src: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-// ---------------------------------------------------------------------------
-// The line format (the original human-editable encoding).
-
-/// Renders a request sequence in the line format (`+id` / `-id`).
-#[must_use]
-pub fn to_text(requests: &[Request]) -> String {
-    let mut out = String::with_capacity(requests.len() * 5);
-    for r in requests {
-        out.push(crate::wire::sign_char(r.sign));
-        out.push_str(&r.node.0.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses the line format back into a request sequence.
-///
-/// # Errors
-/// Reports the first malformed line (1-based line number included).
-pub fn from_text(text: &str) -> Result<Vec<Request>, String> {
-    let mut out = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // `get` (not `split_at`) so a multi-byte first character is a
-        // reported parse error rather than a char-boundary panic.
-        let Some(sign) = line.get(..1).and_then(crate::wire::parse_sign) else {
-            return Err(format!("line {}: expected '+' or '-', got {line:?}", lineno + 1));
-        };
-        let rest = &line[1..];
-        let id: u32 =
-            rest.parse().map_err(|e| format!("line {}: bad node id {rest:?}: {e}", lineno + 1))?;
-        out.push(Request { node: NodeId(id), sign });
-    }
-    Ok(out)
-}
-
-/// Validates that every request in a trace targets a node of the tree.
-///
-/// # Errors
-/// Reports the first out-of-range request.
-pub fn validate_for_tree(requests: &[Request], tree: &otc_core::tree::Tree) -> Result<(), String> {
-    for (i, r) in requests.iter().enumerate() {
-        if r.node.index() >= tree.len() {
-            return Err(format!(
-                "request {i} targets node {} but the tree has {} nodes",
-                r.node,
-                tree.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 #[allow(
     clippy::indexing_slicing,
@@ -800,49 +733,10 @@ pub fn validate_for_tree(requests: &[Request], tree: &otc_core::tree::Tree) -> R
 )]
 mod tests {
     use super::*;
+    use otc_core::tree::NodeId;
 
     fn sample() -> Vec<Request> {
         vec![Request::pos(NodeId(0)), Request::neg(NodeId(42)), Request::pos(NodeId(7))]
-    }
-
-    #[test]
-    fn roundtrip() {
-        let reqs = sample();
-        let text = to_text(&reqs);
-        assert_eq!(text, "+0\n-42\n+7\n");
-        assert_eq!(from_text(&text).unwrap(), reqs);
-    }
-
-    #[test]
-    fn comments_and_blanks_skipped() {
-        let text = "# header\n\n+1\n  \n# mid\n-2\n";
-        let reqs = from_text(text).unwrap();
-        assert_eq!(reqs.len(), 2);
-        assert_eq!(reqs[0], Request::pos(NodeId(1)));
-        assert_eq!(reqs[1], Request::neg(NodeId(2)));
-    }
-
-    #[test]
-    fn malformed_lines_reported_with_position() {
-        let err = from_text("+1\nx9\n").unwrap_err();
-        assert!(err.contains("line 2"), "got: {err}");
-        let err = from_text("+abc\n").unwrap_err();
-        assert!(err.contains("bad node id"), "got: {err}");
-    }
-
-    #[test]
-    fn tree_validation() {
-        let tree = otc_core::tree::Tree::star(2);
-        let ok = vec![Request::pos(NodeId(2))];
-        assert!(validate_for_tree(&ok, &tree).is_ok());
-        let bad = vec![Request::pos(NodeId(3))];
-        assert!(validate_for_tree(&bad, &tree).is_err());
-    }
-
-    #[test]
-    fn empty_trace() {
-        assert!(from_text("").unwrap().is_empty());
-        assert_eq!(to_text(&[]), "");
     }
 
     #[test]
@@ -1086,7 +980,7 @@ mod tests {
         disk.truncate(end as usize);
         let mut sink = io::Cursor::new(disk);
         sink.seek(SeekFrom::End(0)).unwrap();
-        let mut w = TraceWriter::resume(sink, header, 0, records).unwrap();
+        let mut w = TraceWriter::resume_with_flags(sink, header, 0, records, 0).unwrap();
         assert_eq!(w.stream_offset(), end);
         assert_eq!(w.count(), 2);
         w.push(Request::pos(NodeId(8))).unwrap();
@@ -1108,7 +1002,7 @@ mod tests {
         let bytes = trace.to_bytes();
         let mut sink = io::Cursor::new(bytes);
         sink.seek(SeekFrom::End(0)).unwrap();
-        let mut w = TraceWriter::resume(sink, header, 0, 1).unwrap();
+        let mut w = TraceWriter::resume_with_flags(sink, header, 0, 1, 0).unwrap();
         w.push(Request::neg(NodeId(2))).unwrap();
         w.sync().unwrap();
         // Crash here (no finish): the reader must stream to EOF and see
@@ -1124,7 +1018,7 @@ mod tests {
     fn resume_rejects_a_sink_shorter_than_the_header() {
         let header = TraceHeader::single_tree(64, 0, "short");
         let sink = io::Cursor::new(vec![0u8; 4]);
-        let Err(err) = TraceWriter::resume(sink, header, 0, 0) else {
+        let Err(err) = TraceWriter::resume_with_flags(sink, header, 0, 0, 0) else {
             panic!("resume over a headerless sink must fail")
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

@@ -1,17 +1,13 @@
 //! The shared request-record codec.
 //!
-//! One definition of how a [`Request`] becomes bytes (and characters),
-//! used by every encode/decode path in the workspace:
-//!
-//! * the **binary record**: an LEB128 varint of
-//!   `(node_id << 1) | is_negative`, so hot small node ids cost one byte.
-//!   This is the OTCT trace body ([`crate::trace::TraceWriter`] /
-//!   [`crate::trace::TraceReader`]) *and* the `otc-serve` wire protocol's
-//!   request payload — factoring it here is what guarantees a live
-//!   service's log replays through the exact bytes-level format the
-//!   offline tooling reads;
-//! * the **sign character** `'+'` / `'-'` of the line format
-//!   ([`crate::trace`]).
+//! One definition of how a [`Request`] becomes bytes, used by every
+//! encode/decode path in the workspace: an LEB128 varint of
+//! `(node_id << 1) | is_negative`, so hot small node ids cost one byte.
+//! This is the OTCT trace body ([`crate::trace::TraceWriter`] /
+//! [`crate::trace::TraceReader`]) *and* the `otc-serve` wire protocol's
+//! request payload — factoring it here is what guarantees a live
+//! service's log replays through the exact bytes-level format the
+//! offline tooling reads.
 //!
 //! Decoding is strict: continuation chains past 64 bits, payload bits
 //! shifted out of the top of the `u64`, and node ids overflowing `u32`
@@ -136,27 +132,6 @@ pub fn decode_request<R: Read>(src: &mut R) -> io::Result<Option<Request>> {
     }
 }
 
-/// The sign character of the text formats: `'+'` for positive requests,
-/// `'-'` for negative ones.
-#[must_use]
-pub fn sign_char(sign: Sign) -> char {
-    if sign == Sign::Positive {
-        '+'
-    } else {
-        '-'
-    }
-}
-
-/// Parses a sign rendered by [`sign_char`]; `None` for anything else.
-#[must_use]
-pub fn parse_sign(text: &str) -> Option<Sign> {
-    match text {
-        "+" => Some(Sign::Positive),
-        "-" => Some(Sign::Negative),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 #[allow(
     clippy::indexing_slicing,
@@ -215,15 +190,5 @@ mod tests {
         // Node id overflowing u32 (varint itself fine).
         let err = request_from_varint(u64::from(u32::MAX) << 2).unwrap_err();
         assert!(err.to_string().contains("u32"), "got: {err}");
-    }
-
-    #[test]
-    fn sign_helpers_are_inverse() {
-        assert_eq!(sign_char(Sign::Positive), '+');
-        assert_eq!(sign_char(Sign::Negative), '-');
-        assert_eq!(parse_sign("+"), Some(Sign::Positive));
-        assert_eq!(parse_sign("-"), Some(Sign::Negative));
-        assert_eq!(parse_sign("±"), None);
-        assert_eq!(parse_sign(""), None);
     }
 }

@@ -1,12 +1,11 @@
-//! Property tests for the request-trace serialization seams: the
-//! human-editable line format (`to_text` / `from_text`) and the **binary**
-//! format (`Trace::save` / `Trace::load`) the engine replays from files —
-//! round trips must be exact for arbitrary request sequences and corrupt
-//! headers must be rejected, never misparsed.
+//! Property tests for the request-trace serialization seam, the binary
+//! OTCT format (`Trace::save` / `Trace::load`) the engine replays from
+//! files: round trips must be exact for arbitrary request sequences and
+//! corrupt headers must be rejected, never misparsed.
 
 use otc_core::request::{Request, Sign};
 use otc_core::tree::NodeId;
-use otc_workloads::trace::{from_text, to_text, validate_for_tree, Trace, TraceHeader};
+use otc_workloads::trace::{Trace, TraceHeader};
 use proptest::prelude::*;
 
 fn requests_from(seeds: &[(u32, bool)]) -> Vec<Request> {
@@ -21,50 +20,6 @@ fn requests_from(seeds: &[(u32, bool)]) -> Vec<Request> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn round_trip_is_exact(seeds in prop::collection::vec((any::<u32>(), any::<bool>()), 0..600)) {
-        let reqs = requests_from(&seeds);
-        let text = to_text(&reqs);
-        let back = from_text(&text).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(back, reqs);
-    }
-
-    #[test]
-    fn round_trip_survives_comments_and_blanks(
-        seeds in prop::collection::vec((any::<u32>(), any::<bool>()), 1..200),
-        noise in prop::collection::vec(0u8..3, 1..200),
-    ) {
-        // Interleave the rendered lines with comment lines, blank lines and
-        // stray indentation — all legal freedoms of the format.
-        let reqs = requests_from(&seeds);
-        let text = to_text(&reqs);
-        let mut noisy = String::new();
-        let mut noise_iter = noise.iter().cycle();
-        for line in text.lines() {
-            match noise_iter.next().unwrap() {
-                0 => noisy.push_str("# interleaved comment\n"),
-                1 => noisy.push_str("\n  \n"),
-                _ => {}
-            }
-            noisy.push_str("  ");
-            noisy.push_str(line);
-            noisy.push('\n');
-        }
-        let back = from_text(&noisy).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(back, reqs);
-    }
-
-    #[test]
-    fn tree_validation_matches_bound(
-        seeds in prop::collection::vec((0u32..64, any::<bool>()), 1..100),
-        leaves in 1usize..64,
-    ) {
-        let tree = otc_core::tree::Tree::star(leaves);
-        let reqs = requests_from(&seeds);
-        let in_range = reqs.iter().all(|r| r.node.index() < tree.len());
-        prop_assert_eq!(validate_for_tree(&reqs, &tree).is_ok(), in_range);
-    }
 
     #[test]
     fn binary_round_trip_is_identity(

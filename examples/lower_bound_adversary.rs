@@ -5,6 +5,7 @@
 //! cargo run --release --example lower_bound_adversary
 //! ```
 
+use std::io::Cursor;
 use std::sync::Arc;
 
 use online_tree_caching::baselines::offline_star_upper_bound;
@@ -13,7 +14,8 @@ use online_tree_caching::core::policy::CachePolicy;
 use online_tree_caching::core::tc::{TcConfig, TcFast};
 use online_tree_caching::core::Tree;
 use online_tree_caching::sim::engine::{EngineConfig, ShardedEngine};
-use online_tree_caching::workloads::{drive_paging_adversary, to_text};
+use online_tree_caching::workloads::drive_paging_adversary;
+use online_tree_caching::workloads::trace::TraceReader;
 
 fn main() {
     let alpha = 4u64;
@@ -28,9 +30,12 @@ fn main() {
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(alpha, k));
         let rounds = 50 * k;
         let run = drive_paging_adversary(&mut tc, &tree, alpha, rounds);
-        // Certify the adversary's claimed online cost: serialize the trace
-        // it recorded and replay it through the verified engine (the trace
-        // seam doubles as an archive format for adversarial regressions).
+        // Certify the adversary's claimed online cost: encode the trace it
+        // recorded as OTCT bytes and replay them through the verified
+        // engine (the trace seam doubles as an archive format for
+        // adversarial regressions).
+        let bytes = run.to_trace(&tree).to_bytes();
+        let mut reader = TraceReader::new(Cursor::new(bytes)).expect("a fresh encoding decodes");
         let factory = |shard_tree: Arc<Tree>, _shard: ShardId| {
             Box::new(TcFast::new(shard_tree, TcConfig::new(alpha, k))) as Box<dyn CachePolicy>
         };
@@ -39,7 +44,7 @@ fn main() {
             &factory,
             EngineConfig::new(alpha),
         );
-        engine.submit_trace(&to_text(&run.trace)).expect("TC never violates the protocol");
+        engine.replay_trace(&mut reader, &mut Vec::new()).expect("TC never violates the protocol");
         let tc_cost = engine.into_report().expect("valid run").total();
         assert_eq!(
             tc_cost,

@@ -160,14 +160,14 @@ fn main() {
     let ordered: Vec<Vec<Request>> = vec![slices.concat()];
     let observed = Server::start(
         ShardedEngine::new(forest.clone(), &factory, engine_cfg),
-        ServeConfig { log: TraceLog::Off, metrics: true, ..ServeConfig::default() },
+        ServeConfig { metrics: true, ..ServeConfig::default() },
     )
     .expect("bind observed");
     let (observed_accepted, _) = hammer(&observed, &ordered, 20);
     let observed_outcome = observed.shutdown().expect("clean shutdown");
     let dark = Server::start(
         ShardedEngine::new(forest.clone(), &factory, engine_cfg),
-        ServeConfig { log: TraceLog::Off, metrics: false, ..ServeConfig::default() },
+        ServeConfig::default(),
     )
     .expect("bind dark twin");
     let (dark_accepted, _) = hammer(&dark, &ordered, 0);
