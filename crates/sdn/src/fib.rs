@@ -92,10 +92,13 @@ pub enum RoutedFibEvent {
     Update(NodeId),
 }
 
-/// Resolves and routes an event stream across a forest's shards: each
-/// packet's LMP rule and each update's rule is looked up once, mapped to
-/// its `(shard, local node)` home, and appended to that shard's stream
-/// (preserving relative order within a shard).
+/// Resolves and routes an event stream across a forest's shards on the
+/// calling thread: each packet's LMP rule and each update's rule is looked
+/// up once, mapped to its `(shard, local node)` home, and appended to that
+/// shard's stream (preserving relative order within a shard).
+///
+/// This is the serial kernel: [`run_fib_sharded`] runs it on contiguous
+/// chunks of the stream in parallel, one chunk per engine thread.
 #[must_use]
 pub fn route_events(
     rules: &RuleTree,
@@ -119,16 +122,18 @@ pub fn route_events(
 }
 
 /// The one FIB drive loop, shared by every entry point: drives a resolved
-/// event stream through one engine shard. Each packet becomes one positive
-/// request to its rule; each update probes the cache (for the
-/// `updates_while_cached` counter) and becomes a chunk of `alpha` negative
-/// requests (the paper's encoding of the α router-update cost).
+/// event stream through one engine shard, adding its outcome into
+/// `report` (so a stream that arrives in pieces accumulates into one
+/// report). Each packet becomes one positive request to its rule; each
+/// update probes the cache (for the `updates_while_cached` counter) and
+/// becomes a chunk of `alpha` negative requests (the paper's encoding of
+/// the α router-update cost).
 fn drive_fib(
     handle: &mut ShardHandle<'_, '_>,
     events: &[RoutedFibEvent],
     alpha: u64,
-) -> Result<FibReport, String> {
-    let mut report = FibReport { name: handle.policy_name().to_string(), ..FibReport::default() };
+    report: &mut FibReport,
+) -> Result<(), String> {
     for &event in events {
         match event {
             RoutedFibEvent::Packet(rule) => {
@@ -155,7 +160,12 @@ fn drive_fib(
             }
         }
     }
-    Ok(report)
+    Ok(())
+}
+
+/// An empty report named after the handle's policy.
+fn empty_report(handle: &ShardHandle<'_, '_>) -> FibReport {
+    FibReport { name: handle.policy_name().to_string(), ..FibReport::default() }
 }
 
 /// Runs a caching policy over a resolved event stream on one tree — the
@@ -172,7 +182,10 @@ pub fn run_fib_routed(
     alpha: u64,
 ) -> FibReport {
     let mut engine = ShardedEngine::single_borrowed(tree, policy, EngineConfig::bare(alpha));
-    let mut reports = engine.map_shards(|handle| drive_fib(handle, events, alpha));
+    let mut reports = engine.map_shards(|handle| {
+        let mut report = empty_report(handle);
+        drive_fib(handle, events, alpha, &mut report).map(|()| report)
+    });
     reports.pop().expect("one shard").expect("policy violated the caching protocol")
 }
 
@@ -217,13 +230,20 @@ pub struct ShardedFibReport {
 /// The sharded FIB pipeline: partitions the rule trie at the default route
 /// into `shards` size-balanced subtrie groups ([`Forest::partition`]),
 /// builds one policy per shard via `factory` (which decides the per-shard
-/// capacity split), routes the event stream once, and drives all shards in
-/// parallel on `threads` workers.
+/// capacity split), and runs both halves of the work on `threads` workers:
 ///
-/// Per-shard results are deterministic and independent of `threads`; the
-/// aggregate equals the component-wise sum of running each shard's event
-/// stream through [`run_fib_routed`] on its own (pinned by the
-/// differential test in `tests/fib_pipeline.rs`).
+/// 1. **Routing.** The event stream is cut into one contiguous chunk per
+///    thread (at most one per event), and each chunk is routed with
+///    [`route_events`] into its own per-shard vectors, all chunks at once.
+/// 2. **Driving.** Each shard drives its vector from chunk 0, then chunk
+///    1, and so on — no concatenation copy — with shards handed to
+///    threads one at a time as threads free up.
+///
+/// Every shard therefore sees exactly the event sequence a serial
+/// [`route_events`] would give it, so per-shard results are deterministic
+/// and independent of `threads`; the aggregate equals the component-wise
+/// sum of running each shard's event stream through [`run_fib_routed`] on
+/// its own (pinned by the differential test in `tests/fib_pipeline.rs`).
 ///
 /// # Panics
 /// Panics if any shard's policy violates the caching protocol.
@@ -260,12 +280,26 @@ pub fn run_fib_sharded_cfg(
 ) -> ShardedFibReport {
     let alpha = cfg.alpha;
     let forest = Forest::partition(rules.tree(), shards);
-    let per_shard_events = route_events(rules, &forest, events);
+    // Contiguous chunks, one per thread and none empty: chunk `c` holds
+    // events `c * len ..`, so chunk order is stream order.
+    let len = events.len().div_ceil(cfg.threads.max(1)).max(1);
+    let mut chunks: Vec<&[FibEvent]> = events.chunks(len).collect();
+    let routed: Vec<Vec<Vec<RoutedFibEvent>>> =
+        otc_util::parallel_map_mut(&mut chunks, cfg.threads, |_, chunk| {
+            route_events(rules, &forest, chunk)
+        });
     let mut engine = ShardedEngine::new(forest, factory, cfg);
     let per_shard: Vec<FibReport> = engine
-        .map_shards(|handle| drive_fib(handle, &per_shard_events[handle.shard().index()], alpha))
+        .map_shards(|handle| {
+            let shard = handle.shard().index();
+            let mut report = empty_report(handle);
+            for chunk in &routed {
+                drive_fib(handle, &chunk[shard], alpha, &mut report)?;
+            }
+            Ok(report)
+        })
         .into_iter()
-        .collect::<Result<_, _>>()
+        .collect::<Result<_, String>>()
         .expect("policy violated the caching protocol");
     let timeline = engine.timeline();
     let mut total = FibReport { name: per_shard[0].name.clone(), ..FibReport::default() };

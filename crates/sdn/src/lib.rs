@@ -10,7 +10,8 @@
 //!   correctness checker, including the **sharded pipeline**
 //!   ([`run_fib_sharded`]): the rule trie partitioned at the default
 //!   route into independent subtrie shards, each with its own policy,
-//!   driven in parallel through `otc-sim`'s [`otc_sim::ShardedEngine`];
+//!   the event stream routed in parallel chunks and the shards driven in
+//!   parallel through `otc-sim`'s [`otc_sim::ShardedEngine`];
 //! * [`canonical`] — Appendix B: recorded solutions, the independent
 //!   solution evaluator, and the factor-2 canonicalization transform.
 

@@ -10,10 +10,9 @@
 //!   paper's application section motivates, cf. Sarrar et al. \[29\]).
 //! * [`stats`] — Welford online moments, percentile summaries and ratio
 //!   helpers used by the experiment harness.
-//! * [`par`] — a scoped-thread parallel sweep runner built on
-//!   `std::thread::scope` with an atomic work index (self-balancing, no
-//!   work stealing needed for our embarrassingly parallel parameter
-//!   sweeps).
+//! * [`par`] — a scoped-thread parallel map built on `std::thread::scope`
+//!   that hands items out one ticket at a time (self-balancing, no work
+//!   stealing needed for parameter sweeps and per-shard drains).
 //! * [`ring`] — bounded FIFO queues: a fixed-capacity [`ring::Ring`] core
 //!   plus a blocking MPSC [`ring::channel`] with backpressure, the
 //!   ingress→worker hand-off of the `otc-serve` serving runtime.

@@ -1,82 +1,92 @@
-//! Minimal parallel sweep runner.
+//! Minimal parallel map runner.
 //!
-//! The experiment harness evaluates hundreds of independent (tree, workload,
-//! algorithm, parameter) cells. Each cell is pure CPU work with no shared
-//! mutable state, so the classic pattern from *Rust Atomics and Locks*
-//! applies: spawn scoped threads (`std::thread::scope`), hand out work
-//! items through a single `AtomicUsize` ticket counter (self-balancing —
-//! fast cells simply grab more tickets), and collect results into
-//! pre-sized slots guarded by a `Mutex` only at the cheap hand-back
-//! moment.
+//! Two kinds of work run through here: the experiment harness's sweeps of
+//! hundreds of independent (tree, workload, algorithm, parameter) cells,
+//! and the sharded engine's per-shard drains. Each item is pure CPU work
+//! with no shared mutable state, so the classic pattern from *Rust Atomics
+//! and Locks* applies: spawn scoped threads (`std::thread::scope`), hand
+//! out work items one ticket at a time (self-balancing — fast items simply
+//! grab more tickets), and collect results into pre-sized slots guarded by
+//! a `Mutex` only at the cheap hand-back moment.
 //!
-//! We deliberately do not pull in a full work-stealing runtime: the sweep
-//! granularity is coarse (milliseconds to seconds per cell), so a ticket
-//! counter achieves the same utilisation with a fraction of the machinery.
+//! The ticket counter is the items' own iterator behind a `Mutex`: a
+//! worker locks it only to take the next `(index, item)` pair, which keeps
+//! the `&mut` hand-out of [`parallel_map_mut`] in safe code. We
+//! deliberately do not pull in a full work-stealing runtime: items are
+//! coarse (a shard's whole batch, or a sweep cell of milliseconds to
+//! seconds), so one lock per item costs nothing next to the item itself.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Applies `f` to every item on `threads` worker threads and returns the
-/// results in input order.
+/// Applies `f(index, item)` to every item of `items` on `threads` scoped
+/// workers that take items one at a time, and returns the results in input
+/// order — the one scheduling scheme behind both public maps.
 ///
-/// Falls back to a plain sequential map when `threads <= 1` or the input has
-/// at most one element, so callers never pay thread spawn cost for trivial
-/// sweeps.
+/// Falls back to a plain sequential loop on the calling thread (no spawn,
+/// no lock) when `threads <= 1` or there is at most one item.
 ///
 /// # Panics
 /// Propagates panics from `f` (the scope joins all workers first).
+fn run_tickets<I, R, F>(items: I, threads: usize, f: F) -> Vec<R>
+where
+    I: ExactSizeIterator + Send,
+    R: Send,
+    F: Fn(usize, I::Item) -> R + Sync,
+{
+    let n = items.len();
+    if threads <= 1 || n <= 1 {
+        return items.enumerate().map(|(i, item)| f(i, item)).collect();
+    }
+    let tickets = Mutex::new(items.enumerate());
+    // Result slots, filled exactly once each.
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|| loop {
+                // The ticket lock is released at the end of this statement,
+                // before `f` runs.
+                let ticket = tickets.lock().expect("parallel worker panicked").next();
+                let Some((i, item)) = ticket else { break };
+                let r = f(i, item);
+                results.lock().expect("parallel worker panicked")[i] = Some(r);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("parallel worker panicked")
+        .into_iter()
+        .map(|slot| slot.expect("every ticket produces a result"))
+        .collect()
+}
+
+/// Applies `f` to every item on `threads` worker threads and returns the
+/// results in input order (see [`run_tickets`]).
 fn parallel_map_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let n = items.len();
-    let next = AtomicUsize::new(0);
-    // Result slots, filled exactly once each; Mutex<Vec<Option<R>>> keeps the
-    // code safe-and-simple — contention is negligible because workers hold
-    // the lock only to move a finished result into its slot.
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let items_ref = &items;
-    let f_ref = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f_ref(&items_ref[i]);
-                results.lock().expect("sweep worker panicked")[i] = Some(r);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("sweep worker panicked")
-        .into_iter()
-        .map(|slot| slot.expect("every ticket produces a result"))
-        .collect()
+    run_tickets(items.iter(), threads, |_, item| f(item))
 }
 
 /// Applies `f` to every item **in place** on `threads` worker threads and
 /// returns the results in input order. The mutable sibling of
-/// [`parallel_map`]: each worker owns a contiguous chunk of the
-/// slice, so `f` gets `(index, &mut T)` with no locking on the items
-/// themselves (results are handed back through a mutex exactly once per
-/// item).
+/// [`parallel_map`]: workers take `(index, &mut T)` tickets one at a time,
+/// so `f` needs no locking on the items themselves, and a heavy item never
+/// pins the items after it to the same worker (results are handed back
+/// through a mutex exactly once per item).
 ///
 /// This is the execution primitive of the sharded engine
 /// (`otc-sim::engine`): shards are independent `&mut` states driven in
-/// parallel during batch ingestion. Static chunking (not a ticket counter)
-/// keeps the item count's worth of spawns down — shard counts are small
-/// and per-shard work is balanced by construction.
+/// parallel during batch ingestion and `ShardedEngine::map_shards`. Shard
+/// loads are uneven (a FIB shard's load is its subtries' traffic, not
+/// their size), and the ticket hand-out gives the next shard to whichever
+/// worker frees up first.
 ///
-/// Falls back to a plain sequential loop when `threads <= 1` or the input
-/// has at most one element.
+/// Falls back to a plain sequential loop on the calling thread when
+/// `threads <= 1` or the input has at most one element.
 ///
 /// # Panics
 /// Propagates panics from `f` (the scope joins all workers first).
@@ -86,37 +96,13 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk = n.div_ceil(threads.min(n));
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let f_ref = &f;
-    let results_ref = &results;
-    std::thread::scope(|scope| {
-        for (w, slice) in items.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (off, item) in slice.iter_mut().enumerate() {
-                    let i = w * chunk + off;
-                    let r = f_ref(i, item);
-                    results_ref.lock().expect("parallel worker panicked")[i] = Some(r);
-                }
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("parallel worker panicked")
-        .into_iter()
-        .map(|slot| slot.expect("every item produces a result"))
-        .collect()
+    run_tickets(items.iter_mut(), threads, f)
 }
 
 /// Applies `f` to every item on `available_parallelism()` worker threads
 /// and returns the results in input order. Work is handed out one item at
-/// a time through an atomic ticket counter, so uneven items balance
-/// themselves; a single item or a single-CPU host runs sequentially.
+/// a time as tickets, so uneven items balance themselves; a single item or
+/// a single-CPU host runs sequentially.
 ///
 /// ```
 /// let squares = otc_util::parallel_map((0u64..100).collect(), |&x| x * x);
@@ -211,8 +197,13 @@ mod tests {
     fn map_mut_sequential_fallback_matches() {
         let mut a: Vec<u64> = (0..37).collect();
         let mut b = a.clone();
-        let ra = parallel_map_mut(&mut a, 1, |i, x| *x + i as u64);
-        let rb = parallel_map_mut(&mut b, 8, |i, x| *x + i as u64);
+        // Uneven items, so the eight workers' ticket order varies run to run.
+        let work = |i: usize, x: &mut u64| {
+            *x = spin(100 + (*x % 13) * 500, *x);
+            *x + i as u64
+        };
+        let ra = parallel_map_mut(&mut a, 1, work);
+        let rb = parallel_map_mut(&mut b, 8, work);
         assert_eq!(ra, rb);
         assert_eq!(a, b);
     }
@@ -225,5 +216,50 @@ mod tests {
         let mut small = vec![1u32, 2, 3];
         let out = parallel_map_mut(&mut small, 64, |_, x| *x * 10);
         assert_eq!(out, vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn map_mut_calls_f_exactly_once_per_index() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        for threads in [2, 3, 8, 64] {
+            let mut items: Vec<u64> = (0..57).collect();
+            let per_index: Vec<AtomicUsize> =
+                (0..items.len()).map(|_| AtomicUsize::new(0)).collect();
+            let out = parallel_map_mut(&mut items, threads, |i, x| {
+                per_index[i].fetch_add(1, Ordering::Relaxed);
+                *x += 1;
+                i
+            });
+            assert!(per_index.iter().all(|c| c.load(Ordering::Relaxed) == 1), "{threads} threads");
+            assert_eq!(out, (0..57).collect::<Vec<usize>>());
+            assert_eq!(items, (1..58).collect::<Vec<u64>>());
+        }
+    }
+
+    /// Spins for `rounds` iterations; the result depends on every round.
+    fn spin(rounds: u64, seed: u64) -> u64 {
+        let mut acc = seed;
+        for i in 0..rounds {
+            acc = acc.rotate_left(5) ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        acc
+    }
+
+    #[test]
+    fn map_mut_keeps_input_order_with_a_heavy_first_item() {
+        // Item 0 costs 100x the rest, and there are more items than
+        // threads: the worker holding item 0 falls behind while the others
+        // take every later ticket, yet results still come back in order.
+        let mut items: Vec<u64> = (0..40).collect();
+        let expected: Vec<(usize, u64)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| (i, spin(if i == 0 { 200_000 } else { 2_000 }, x)))
+            .collect();
+        let out = parallel_map_mut(&mut items, 3, |i, x| {
+            (i, spin(if i == 0 { 200_000 } else { 2_000 }, *x))
+        });
+        assert_eq!(out, expected);
     }
 }
