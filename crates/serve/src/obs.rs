@@ -7,7 +7,7 @@
 //! |--------|-------|
 //! | `otc_serve_accept_nanos` | TCP accept → handshake flushed |
 //! | `otc_serve_lock_hold_nanos` | ingress lock held (log + route + enqueue, per batch) |
-//! | `otc_serve_ring_wait_nanos{group}` | staged in a group run → dequeued (sampled once per ingest) |
+//! | `otc_serve_ring_wait_nanos{group}` | staged in a group run → dequeued, including the ack write before the deferred wake (sampled once per ingest) |
 //! | `otc_serve_drain_nanos{cell}` | one buffered run through a cell worker |
 //! | `otc_serve_flush_nanos` | one reply flushed to the socket |
 //!

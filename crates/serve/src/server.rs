@@ -15,9 +15,16 @@
 //! * Each **connection** thread speaks the wire protocol and pushes
 //!   accepted batches through the single **ingress** critical section.
 //!   Ingress stages each frame's requests into one run per group and
-//!   hands every run over with a single [`ring::Sender::send_batch`]:
-//!   one ring lock and one worker wake-up per group per frame, not per
-//!   request.
+//!   pushes every run with a single [`ring::Sender::send_batch`]: one
+//!   ring lock per group per frame, not per request. The worker
+//!   wake-ups leave the critical path entirely: each push returns a
+//!   [`ring::Wake`] guard, and the connection thread drops the frame's
+//!   guards only after its `Ack` is flushed — one wake-up per group per
+//!   frame, outside the ingress lock and after the client has its
+//!   answer. Nothing waits on a deferred wake: a sender that finds a
+//!   ring full wakes its worker first, markers go out with the eager
+//!   [`ring::Sender::send`], and a `Drain` wakes every group before it
+//!   waits.
 //! * One persistent **group** thread per serving group owns a set of
 //!   [`otc_sim::worker::ShardWorker`] cells, fed by a bounded
 //!   [`otc_util::ring::channel`] — a full queue blocks ingress
@@ -320,7 +327,8 @@ enum Cmd {
     Install(u32, Arc<Handoff>),
     /// Ring-wait sample (only ever enqueued with metrics on): the worker
     /// records how long ago ingress staged the stamp (the rest of the
-    /// frame's staging plus the time in the ring) and does nothing else —
+    /// frame's staging, the ack up to the post-ack wake, and the time in
+    /// the ring) and does nothing else —
     /// unlike every other marker it does **not** flush the buffered run,
     /// so it is invisible to batching and to state.
     Stamp(Stamp),
@@ -415,12 +423,16 @@ impl Shared {
 
     /// Routes, logs and enqueues one batch atomically. The whole batch is
     /// validated first, so a rejected batch stages nothing at all.
-    /// `routed` is the caller's scratch buffer, reused across calls.
+    /// `routed` and `wakes` are the caller's scratch buffers, reused
+    /// across calls.
     ///
     /// Under the one ingress lock hold, each request is logged and then
     /// appended to its group's staged run; the runs go out with one
-    /// [`ring::Sender::send_batch`] per group — one ring lock and one
-    /// wake-up per group per frame instead of per request. The runs are
+    /// [`ring::Sender::send_batch`] per group — one ring lock per group
+    /// per frame instead of per request. The pushes do not wake the
+    /// workers: their [`ring::Wake`] guards are appended to `wakes`, for
+    /// the caller to drop once the frame's ack is flushed (on every exit
+    /// path, errors included, since dropping is what wakes). The runs are
     /// flushed, still under the lock, at three points: before a
     /// rebalance boundary (the `Probe` must follow the boundary prefix,
     /// or `wait_all` would wait on requests nobody sent), before a
@@ -431,6 +443,7 @@ impl Shared {
         &self,
         requests: &[Request],
         routed: &mut Vec<(ShardId, Request)>,
+        wakes: &mut Vec<ring::Wake<Cmd>>,
     ) -> Result<u64, String> {
         if let Some(e) = self.poison() {
             return Err(format!("service poisoned: {e}"));
@@ -494,7 +507,7 @@ impl Shared {
                 *accepted += 1;
                 if let Some(reb) = rebalancer.as_mut() {
                     if *accepted == reb.next_boundary_at() {
-                        if let Err(e) = flush_runs(senders, runs, enqueued) {
+                        if let Err(e) = flush_runs(senders, runs, enqueued, wakes) {
                             break 'stage Err(e);
                         }
                         if let Err(message) = self.process_boundary(sink, senders, reb, migrations)
@@ -505,7 +518,7 @@ impl Shared {
                 }
                 if let Some(policy) = &self.snapshots {
                     if accepted.is_multiple_of(policy.every.max(1)) {
-                        if let Err(e) = flush_runs(senders, runs, enqueued) {
+                        if let Err(e) = flush_runs(senders, runs, enqueued, wakes) {
                             break 'stage Err(e);
                         }
                         if let Err(e) = self.register_cut(sink, senders) {
@@ -515,7 +528,7 @@ impl Shared {
                     }
                 }
             }
-            flush_runs(senders, runs, enqueued)
+            flush_runs(senders, runs, enqueued, wakes)
         };
         if let Err((shard, message)) = staged {
             // Nothing staged by a failed call may ride out with a later one.
@@ -610,8 +623,18 @@ impl Shared {
     }
 
     /// Blocks until every request accepted so far has been executed.
+    ///
+    /// Wakes every group first: a connection thread blocked writing an
+    /// ack to a client that never reads still holds that frame's
+    /// [`ring::Wake`] guards, and this barrier must not wait on them.
     fn wait_drained(&self) {
-        let target: Vec<u64> = locked(&self.ingress).enqueued.clone();
+        let target: Vec<u64> = {
+            let ingress = locked(&self.ingress);
+            if let Some((senders, _)) = &ingress.open {
+                senders.iter().for_each(ring::Sender::wake);
+            }
+            ingress.enqueued.clone()
+        };
         let mut progress = locked(&self.progress);
         while progress.iter().zip(&target).any(|(done, want)| done < want) {
             progress = self.progress_cv.wait(progress).unwrap_or_else(PoisonError::into_inner);
@@ -1198,7 +1221,8 @@ impl Server {
 /// Delivers every group's staged run with one [`ring::Sender::send_batch`]
 /// and credits `enqueued` with the requests of each run that arrived —
 /// only then, so [`Shared::wait_drained`] never waits for a run that
-/// failed to send.
+/// failed to send. Each push's deferred wake is appended to `wakes`;
+/// empty runs are skipped, so they add none.
 ///
 /// # Errors
 /// The first group whose worker is gone, naming the cell of its first
@@ -1207,10 +1231,16 @@ fn flush_runs(
     senders: &[ring::Sender<Cmd>],
     runs: &mut [Vec<Cmd>],
     enqueued: &mut [u64],
+    wakes: &mut Vec<ring::Wake<Cmd>>,
 ) -> Result<(), (Option<ShardId>, String)> {
     for (group, ((sender, run), done)) in senders.iter().zip(runs).zip(enqueued).enumerate() {
+        if run.is_empty() {
+            continue;
+        }
         let requests = run.iter().filter(|cmd| matches!(cmd, Cmd::Req(..))).count() as u64;
-        if sender.send_batch(run).is_err() {
+        if let Ok(wake) = sender.send_batch(run) {
+            wakes.push(wake);
+        } else {
             let cell = run.iter().find_map(|cmd| match cmd {
                 Cmd::Req(cell, _) => Some(ShardId(*cell)),
                 _ => None,
@@ -1526,6 +1556,9 @@ fn connection_loop(
     let mut rbuf = Vec::new();
     let mut wbuf = Vec::new();
     let mut routed = Vec::new();
+    // The wake guards of the frame being answered, dropped once its reply
+    // is flushed (or with this frame on any early return).
+    let mut wakes = Vec::new();
 
     let fail = |writer: &mut BufWriter<TcpStream>, wbuf: &mut Vec<u8>, message: String| {
         let _ = wire::write_message(writer, &Message::Error { message }, wbuf);
@@ -1584,7 +1617,8 @@ fn connection_loop(
             }
         };
         match msg {
-            Message::Submit { requests } => match shared.ingest(&requests, &mut routed) {
+            Message::Submit { requests } => match shared.ingest(&requests, &mut routed, &mut wakes)
+            {
                 Ok(accepted) => {
                     wire::write_message(&mut writer, &Message::Ack { accepted }, &mut wbuf)?;
                 }
@@ -1646,5 +1680,52 @@ fn connection_loop(
             }
             None => writer.flush()?,
         }
+        // The client has its ack: only now wake the groups this frame fed.
+        wakes.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use otc_core::forest::Forest;
+    use otc_core::policy::CachePolicy;
+    use otc_core::tc::{TcConfig, TcFast};
+    use otc_core::tree::{NodeId, Tree};
+
+    use super::*;
+
+    fn factory(tree: Arc<Tree>, _s: ShardId) -> Box<dyn CachePolicy> {
+        Box::new(TcFast::new(tree, TcConfig::new(2, 6)))
+    }
+
+    /// A connection thread stuck writing an ack to a client that never
+    /// reads keeps that frame's wake guards alive. A `Drain` from another
+    /// client must still return: `wait_drained` wakes every group first.
+    #[test]
+    fn held_wake_guards_cannot_stall_a_drain() {
+        let forest = Forest::partition(&Tree::star(64), 4);
+        let engine = ShardedEngine::new(forest, &factory, EngineConfig::new(2));
+        let server = Server::start(engine, ServeConfig::default()).expect("bind loopback");
+        // Let every group worker park on its empty ring first.
+        std::thread::sleep(Duration::from_millis(50));
+        let requests: Vec<Request> = (0..64).map(|v| Request::pos(NodeId(v))).collect();
+        let (mut routed, mut wakes) = (Vec::new(), Vec::new());
+        server.shared.ingest(&requests, &mut routed, &mut wakes).expect("ingest");
+        assert!(!wakes.is_empty(), "the frame's wakes are deferred to the caller");
+
+        let shared = Arc::clone(&server.shared);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let drain = std::thread::spawn(move || {
+            shared.wait_drained();
+            let _ = done_tx.send(());
+        });
+        let drained = done_rx.recv_timeout(Duration::from_secs(10));
+        drop(wakes);
+        assert!(drained.is_ok(), "the drain waited on requests whose wake is still held");
+        drain.join().expect("drain thread panicked");
+        let outcome = server.shutdown().expect("clean shutdown");
+        assert_eq!(outcome.requests_served, 64);
     }
 }

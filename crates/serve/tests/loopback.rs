@@ -51,9 +51,18 @@ fn replay(forest: &Forest, trace_bytes: &[u8], cfg: EngineConfig) -> Vec<Report>
 /// The acceptance-criteria differential: ≥4 concurrent clients over a
 /// ≥4-shard forest; the logged OTCT trace replays to the live service's
 /// per-shard and aggregated reports exactly, at replay threads ∈
-/// {1, nproc}.
+/// {1, nproc}. Rings of capacity 1 and 2 hold the backpressure path to
+/// the same identity: there nearly every run fills its ring while the
+/// frame's wake is still deferred, so senders must wake the workers
+/// before they wait.
 #[test]
 fn live_service_equals_offline_replay_of_its_log() {
+    for queue_capacity in [ServeConfig::default().queue_capacity, 1, 2] {
+        live_equals_replay_at(queue_capacity);
+    }
+}
+
+fn live_equals_replay_at(queue_capacity: usize) {
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 3000;
 
@@ -61,7 +70,8 @@ fn live_service_equals_offline_replay_of_its_log() {
     let forest = Forest::partition(&tree, 4);
     let engine_cfg = EngineConfig::new(ALPHA).audit_every(512).telemetry(true);
     let engine = ShardedEngine::new(forest.clone(), &factory, engine_cfg);
-    let server = Server::start(engine, ServeConfig::default()).expect("bind loopback");
+    let cfg = ServeConfig { queue_capacity, ..ServeConfig::default() };
+    let server = Server::start(engine, cfg).expect("bind loopback");
     assert_eq!(server.num_shards(), 4);
     let addr = server.addr();
 

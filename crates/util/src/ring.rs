@@ -22,13 +22,24 @@
 //! the serving bottleneck. Both ends batch instead:
 //!
 //! * [`Sender::send_batch`] moves a whole run into the ring under one
-//!   lock with one notify, waiting on backpressure (lock released) and
-//!   continuing for runs larger than the capacity;
+//!   lock, waiting on backpressure (lock released) and continuing for
+//!   runs larger than the capacity. It does not notify: it returns a
+//!   [`Wake`] guard, and dropping the guard wakes the receiver once. The
+//!   caller picks the moment — `otc-serve` pushes under its ingress lock
+//!   and wakes only after the client's ack is on the wire;
 //! * [`Receiver::recv_batch`] drains up to a batch under one lock.
 //!
-//! [`Sender::send`] stays for single markers. FIFO order per producer,
-//! loss-freedom, and `send_batch`'s backpressure and disconnect contracts
-//! are pinned by `crates/util/tests/proptest_ring.rs`.
+//! [`Sender::send`] stays for single markers and notifies at once.
+//!
+//! **The wake rule.** A deferred wake must never strand a sender: a
+//! sender (`send` or `send_batch`) never sleeps on a full ring without
+//! first waking the receiver. Otherwise a batch that exactly fills the
+//! ring, its guard still held, leaves the next send asleep beside a
+//! parked receiver that nobody woke.
+//!
+//! FIFO order per producer, loss-freedom, the wake rule, and
+//! `send_batch`'s backpressure and disconnect contracts are pinned by
+//! `crates/util/tests/proptest_ring.rs`.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -248,6 +259,9 @@ impl<T> Sender<T> {
                 }
                 Err(v) => {
                     value = v;
+                    // The wake rule: the ring may be full of items whose
+                    // wake a held `Wake` still defers.
+                    self.shared.not_empty.notify_one();
                     inner = self.shared.not_full.wait(inner).expect("channel lock poisoned");
                 }
             }
@@ -256,36 +270,44 @@ impl<T> Sender<T> {
 
     /// Delivers every item of `items` in FIFO order, draining the `Vec`
     /// (its capacity is kept for reuse). The batch mirror of
-    /// [`Receiver::recv_batch`]: one lock acquisition and one notify per
-    /// pass that pushed something. When the ring fills up mid-batch it
-    /// waits for room (releasing the lock) and continues, so a batch
-    /// larger than the capacity still completes under backpressure.
-    /// An empty batch is a no-op.
+    /// [`Receiver::recv_batch`]: one lock acquisition per pass. When the
+    /// ring fills up mid-batch it wakes the receiver, waits for room
+    /// (releasing the lock) and continues, so a batch larger than the
+    /// capacity still completes under backpressure.
+    ///
+    /// The final wake is the caller's: the returned [`Wake`] notifies the
+    /// receiver once when dropped. Drop it at once for an eager send, or
+    /// hold it to keep the wake off a critical path. The wake rule (see
+    /// the module docs) keeps a held guard from stranding any later send.
+    /// An empty batch is a no-op, and its guard is inert.
     ///
     /// # Errors
     /// [`SendError::Disconnected`] once the receiver is gone — including
     /// when it is dropped mid-wait. The undelivered suffix is left in
     /// `items`, in order; the delivered prefix stays delivered.
-    pub fn send_batch(&self, items: &mut Vec<T>) -> Result<(), SendError<()>> {
+    pub fn send_batch(&self, items: &mut Vec<T>) -> Result<Wake<T>, SendError<()>> {
         if items.is_empty() {
-            return Ok(());
+            return Ok(Wake { shared: None });
         }
         let mut inner = self.shared.inner.lock().expect("channel lock poisoned");
         loop {
             if !inner.receiver_alive {
                 return Err(SendError::Disconnected(()));
             }
-            let pushed = inner.ring.push_from(items);
+            inner.ring.push_from(items);
             if items.is_empty() {
-                drop(inner);
-                self.shared.not_empty.notify_one();
-                return Ok(());
+                return Ok(Wake { shared: Some(Arc::clone(&self.shared)) });
             }
-            if pushed > 0 {
-                self.shared.not_empty.notify_one();
-            }
+            // The wake rule: never sleep on a full ring unwoken.
+            self.shared.not_empty.notify_one();
             inner = self.shared.not_full.wait(inner).expect("channel lock poisoned");
         }
+    }
+
+    /// Wakes the receiver if it is parked on an empty ring. Releases any
+    /// wake a held [`Wake`] still defers, without waiting for its drop.
+    pub fn wake(&self) {
+        self.shared.not_empty.notify_one();
     }
 
     /// Attempts delivery without blocking.
@@ -334,6 +356,23 @@ impl<T> Drop for Sender<T> {
             // Wake a receiver blocked on an empty ring so it can observe
             // the disconnect and finish.
             self.shared.not_empty.notify_all();
+        }
+    }
+}
+
+/// The deferred wake of one [`Sender::send_batch`]: dropping it notifies
+/// the receiver once. The guard for an empty batch holds nothing and
+/// notifies nothing. It keeps the channel's shared state alive but does
+/// not count as a sender, so holding one never delays a disconnect.
+#[derive(Debug)]
+pub struct Wake<T> {
+    shared: Option<Arc<Shared<T>>>,
+}
+
+impl<T> Drop for Wake<T> {
+    fn drop(&mut self) {
+        if let Some(shared) = &self.shared {
+            shared.not_empty.notify_one();
         }
     }
 }
@@ -524,11 +563,40 @@ mod tests {
         // Neither a full ring nor a dropped receiver matters: nothing to
         // deliver means no lock, no wait, no error.
         let mut none = Vec::new();
-        assert_eq!(tx.send_batch(&mut none), Ok(()));
+        assert_eq!(tx.send_batch(&mut none).map(drop), Ok(()));
         assert_eq!(tx.queued(), 1);
         drop(rx);
-        assert_eq!(tx.send_batch(&mut none), Ok(()));
+        assert_eq!(tx.send_batch(&mut none).map(drop), Ok(()));
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn an_empty_batch_guard_is_inert() {
+        let (tx, _rx) = channel::<u32>(1);
+        let wake = tx.send_batch(&mut Vec::new()).unwrap();
+        assert!(wake.shared.is_none(), "nothing to notify");
+        assert_eq!(Arc::strong_count(&tx.shared), 2, "only the two ends hold the channel");
+    }
+
+    #[test]
+    fn dropping_a_guard_wakes_a_parked_recv_batch() {
+        let (tx, rx) = channel::<u32>(8);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            let got = rx.recv_batch(&mut out, 8);
+            done_tx.send((got, out)).unwrap();
+        });
+        // Let the consumer park on the empty ring first.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let wake = tx.send_batch(&mut vec![1, 2, 3]).unwrap();
+        drop(wake);
+        let (got, out) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the guard's drop must wake the parked receiver");
+        assert_eq!(got, Ok(3));
+        assert_eq!(out, vec![1, 2, 3]);
+        consumer.join().unwrap();
     }
 
     #[test]

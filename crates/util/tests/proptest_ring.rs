@@ -3,9 +3,13 @@
 //! guarantees are pinned: FIFO order per producer, the capacity bound is
 //! never exceeded, and no value is ever lost or duplicated under
 //! contention. `Sender::send_batch` is held to the same guarantees, plus
-//! its own two: a batch larger than the capacity completes under
-//! backpressure, and a receiver dropped mid-batch ends it with an error
-//! that hands back exactly the undelivered suffix — never a hang.
+//! its own three: a batch larger than the capacity completes under
+//! backpressure, a receiver dropped mid-batch ends it with an error that
+//! hands back exactly the undelivered suffix — never a hang — and a held
+//! wake guard never strands a later send (the wake rule).
+
+use std::sync::mpsc;
+use std::time::Duration;
 
 use otc_util::ring::{channel, Ring, SendError, TrySendError};
 use proptest::prelude::*;
@@ -236,6 +240,81 @@ proptest! {
         prop_assert_eq!(got, (0..total).collect::<Vec<_>>());
     }
 
+    /// The wake rule: producers hold the wake guard of their previous
+    /// batch while they send further items, through `send` and
+    /// `send_batch`, into a ring of capacity 1–4 drained by a slow
+    /// consumer. Each producer pauses between steps, so the consumer
+    /// drains the ring and parks: the next batch lands with its wake
+    /// deferred, and a sender that then slept on a full ring without
+    /// waking the receiver would leave both asleep. The watchdog turns
+    /// that hang into a failure. Every item still arrives, in
+    /// per-producer order.
+    #[test]
+    fn held_wake_guards_never_strand_a_sender(
+        capacity in 1usize..5,
+        scripts in prop::collection::vec(
+            prop::collection::vec((any::<bool>(), 1usize..9), 1..12),
+            1..4,
+        ),
+        bite in 1usize..4,
+    ) {
+        let totals: Vec<usize> =
+            scripts.iter().map(|script| script.iter().map(|&(_, n)| n).sum()).collect();
+        let (done_tx, done_rx) = mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let (tx, rx) = channel::<(usize, usize)>(capacity);
+            let mut handles = Vec::new();
+            for (p, script) in scripts.into_iter().enumerate() {
+                let tx = tx.clone();
+                handles.push(std::thread::spawn(move || {
+                    let mut next = 0;
+                    let mut run = Vec::new();
+                    let mut held = None;
+                    for (batched, n) in script {
+                        std::thread::sleep(Duration::from_millis(1));
+                        if batched {
+                            run.extend((next..next + n).map(|i| (p, i)));
+                            // The assignment drops the previous guard only
+                            // after this batch is in the ring.
+                            held = Some(tx.send_batch(&mut run).expect("receiver lives"));
+                        } else {
+                            for i in next..next + n {
+                                tx.send((p, i)).expect("receiver lives");
+                            }
+                        }
+                        next += n;
+                    }
+                    drop(held);
+                }));
+            }
+            drop(tx);
+            let mut got = Vec::new();
+            loop {
+                std::thread::sleep(Duration::from_micros(50));
+                if rx.recv_batch(&mut got, bite).is_err() {
+                    break;
+                }
+            }
+            for h in handles {
+                h.join().expect("producer panicked");
+            }
+            let _ = done_tx.send(got);
+        });
+        // On a hang the watched threads are left behind: the failure is
+        // the point, and they can never be joined.
+        let got = done_rx.recv_timeout(Duration::from_secs(20));
+        prop_assert!(got.is_ok(), "a sender slept on a full ring beside a parked receiver");
+        watched.join().expect("consumer panicked");
+        let got = got.unwrap_or_default();
+        prop_assert_eq!(got.len(), totals.iter().sum::<usize>(), "no loss, no duplication");
+        let mut next = vec![0usize; totals.len()];
+        for (p, i) in got {
+            prop_assert_eq!(i, next[p], "producer {}'s items arrive in send order", p);
+            next[p] += 1;
+        }
+        prop_assert_eq!(next, totals, "every producer fully delivered");
+    }
+
     /// Dropping the receiver while a batch is blocked on a full ring ends
     /// the batch with `Err`: what the consumer saw is a prefix of the
     /// batch, the caller's `Vec` holds exactly the undelivered suffix,
@@ -252,7 +331,7 @@ proptest! {
         let n = taken + capacity + extra;
         let producer = std::thread::spawn(move || {
             let mut run: Vec<usize> = (0..n).collect();
-            let result = tx.send_batch(&mut run);
+            let result = tx.send_batch(&mut run).map(drop);
             (result, run)
         });
         let mut got = Vec::new();
