@@ -22,7 +22,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use otc_core::request::Request;
 use otc_obs::MetricsSnapshot;
 
-use crate::wire::{self, Message, ServeStats, WIRE_VERSION};
+use crate::wire::{self, Message, WIRE_VERSION};
 
 /// A connected wire-protocol client.
 pub struct Client {
@@ -72,10 +72,7 @@ impl Client {
                 io::ErrorKind::InvalidData,
                 format!("server speaks wire version {version}, this client {WIRE_VERSION}"),
             )),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected HelloAck, got opcode {:#04x}", other.opcode()),
-            )),
+            other => Err(unexpected("HelloAck", &other)),
         }
     }
 
@@ -107,6 +104,15 @@ impl Client {
                 Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection"))
             }
         }
+    }
+
+    /// Collects pending acknowledgements, then sends one bare request
+    /// and reads its reply.
+    fn call(&mut self, msg: &Message) -> io::Result<Message> {
+        self.wait_acks()?;
+        wire::write_message(&mut self.writer, msg, &mut self.wbuf)?;
+        self.writer.flush()?;
+        self.read_reply()
     }
 
     /// Queues one `Submit` frame **without waiting** for its
@@ -147,12 +153,7 @@ impl Client {
                     self.inflight -= 1;
                     accepted += n;
                 }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected Ack, got opcode {:#04x}", other.opcode()),
-                    ));
-                }
+                other => return Err(unexpected("Ack", &other)),
             }
         }
         Ok(accepted)
@@ -168,26 +169,9 @@ impl Client {
         self.wait_acks()
     }
 
-    /// Fetches the service's cumulative executed-cost counters.
-    ///
-    /// # Errors
-    /// Socket errors; pending pipelined acknowledgements are collected
-    /// first.
-    pub fn stats(&mut self) -> io::Result<ServeStats> {
-        self.wait_acks()?;
-        wire::write_message(&mut self.writer, &Message::Stats, &mut self.wbuf)?;
-        self.writer.flush()?;
-        match self.read_reply()? {
-            Message::StatsReply(s) => Ok(s),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected StatsReply, got opcode {:#04x}", other.opcode()),
-            )),
-        }
-    }
-
-    /// Scrapes the service's wall-clock metrics surface as the raw
-    /// canonical-JSON exposition ([`otc_obs::expo`]). A metrics-off
+    /// Scrapes the service's metrics surface (stage histograms,
+    /// operational counters and cost totals) as the raw canonical-JSON
+    /// exposition ([`otc_obs::expo`]). A metrics-off
     /// server answers with the valid empty exposition — scraping is
     /// always safe, live, and never perturbs results (invariant #8).
     ///
@@ -195,19 +179,13 @@ impl Client {
     /// Socket errors; pending pipelined acknowledgements are collected
     /// first.
     pub fn scrape_json(&mut self) -> io::Result<String> {
-        self.wait_acks()?;
-        wire::write_message(&mut self.writer, &Message::Metrics, &mut self.wbuf)?;
-        self.writer.flush()?;
-        match self.read_reply()? {
+        match self.call(&Message::Metrics)? {
             Message::MetricsReply { json } => Ok(json),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected MetricsReply, got opcode {:#04x}", other.opcode()),
-            )),
+            other => Err(unexpected("MetricsReply", &other)),
         }
     }
 
-    /// Scrapes the service's wall-clock metrics surface, parsed back
+    /// Scrapes the service's metrics surface, parsed back
     /// into a typed [`MetricsSnapshot`] (see [`Client::scrape_json`] for
     /// the raw exposition and the invariant-#8 guarantees).
     ///
@@ -227,15 +205,9 @@ impl Client {
     /// # Errors
     /// Socket errors; pending acknowledgements are collected first.
     pub fn drain(&mut self) -> io::Result<()> {
-        self.wait_acks()?;
-        wire::write_message(&mut self.writer, &Message::Drain, &mut self.wbuf)?;
-        self.writer.flush()?;
-        match self.read_reply()? {
+        match self.call(&Message::Drain)? {
             Message::Ack { .. } => Ok(()),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected Ack, got opcode {:#04x}", other.opcode()),
-            )),
+            other => Err(unexpected("Ack", &other)),
         }
     }
 
@@ -245,15 +217,17 @@ impl Client {
     /// # Errors
     /// Socket errors while closing.
     pub fn bye(mut self) -> io::Result<()> {
-        self.wait_acks()?;
-        wire::write_message(&mut self.writer, &Message::Bye, &mut self.wbuf)?;
-        self.writer.flush()?;
-        match self.read_reply()? {
+        match self.call(&Message::Bye)? {
             Message::Ack { .. } => Ok(()),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected Ack, got opcode {:#04x}", other.opcode()),
-            )),
+            other => Err(unexpected("Ack", &other)),
         }
     }
+}
+
+/// The error for a reply of the wrong kind.
+fn unexpected(want: &str, got: &Message) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("expected {want}, got opcode {:#04x}", got.opcode()),
+    )
 }

@@ -20,11 +20,11 @@
 //!   consistent cuts (no shard pauses another), and [`Server::resume`]
 //!   restores a killed service from the newest usable snapshot plus a
 //!   replay of the log tail — bit-identical to never having crashed;
-//! * with [`ServeConfig::metrics`], the service carries a wall-clock
-//!   [`obs::ServeMetrics`] surface — per-stage latency histograms and
-//!   counters, scrapable live over the wire (`Metrics` opcode, see
-//!   [`Client::scrape`]) — that provably never changes results
-//!   (invariant #8, `tests/observer.rs`).
+//! * with [`ServeConfig::metrics`], the service carries a
+//!   [`obs::ServeMetrics`] surface — per-stage latency histograms,
+//!   operational counters and the paper's cost totals, scrapable live
+//!   over the wire (`Metrics` opcode, see [`Client::scrape`]) — that
+//!   provably never changes results (invariant #8, `tests/observer.rs`).
 //!
 //! **The core invariant** (pinned by `tests/loopback.rs`): the live
 //! service's per-shard reports are bit-identical to
@@ -74,4 +74,4 @@ pub use rebalance::{initial_table, RebalancePolicy};
 pub use server::{
     RebalanceSummary, ResumeOutcome, ServeConfig, ServeOutcome, Server, SnapshotPolicy, TraceLog,
 };
-pub use wire::{Message, ServeStats, MAX_FRAME, WIRE_MAGIC, WIRE_VERSION};
+pub use wire::{Message, MAX_FRAME, WIRE_MAGIC, WIRE_VERSION};

@@ -13,24 +13,29 @@
 //!
 //! plus operational counters (`otc_serve_connections_total`,
 //! `otc_serve_batches_total`, `otc_serve_requests_total`,
-//! `otc_serve_scrapes_total`) and the static gauges `otc_serve_cells` /
-//! `otc_serve_groups`.
+//! `otc_serve_scrapes_total`), the static gauges `otc_serve_cells` /
+//! `otc_serve_groups`, and the paper's cost totals over every cell
+//! (`otc_serve_rounds_total`, `otc_serve_paid_rounds_total`,
+//! `otc_serve_service_cost_total`, `otc_serve_reorg_cost_total`, the
+//! last already multiplied by α). A group worker adds each run's cost
+//! deltas before it publishes progress, so a scrape that follows a
+//! `Drain` on the same connection is exact; a resumed service seeds them
+//! with the recovered totals.
 //!
 //! **Invariant #8 — observation never changes results.** Everything here
 //! is a pure side-band: recording touches only `otc-obs` atomics, the
 //! per-group/per-cell histograms in a scrape are observe-only
 //! annotations of the rebalance placement (never decision inputs — the
 //! determinism crates cannot even depend on `otc-obs`, otc-lint R7),
-//! and the drain timer rides the one-way
-//! [`otc_sim::worker::BatchHooks`] seam. The differential suite in
-//! `crates/serve/tests/observer.rs` proves runs with metrics on, off,
-//! and scraped concurrently are bit-identical.
+//! and the group worker times a drain and reads the cell's counters
+//! around `ShardWorker::run_batch`, feeding nothing back into it. The
+//! differential suite in `crates/serve/tests/observer.rs` proves runs
+//! with metrics on, off, and scraped concurrently are bit-identical.
 
 use std::sync::Arc;
 
-use otc_obs::clock::{self, Stamp};
+use otc_core::request::Cost;
 use otc_obs::{Counter, Histogram, MetricsSnapshot, Registry};
-use otc_sim::worker::BatchHooks;
 
 /// Deterministic label value for a cell/group index: zero-padded so the
 /// snapshot's lexicographic label order is also numeric order.
@@ -62,6 +67,14 @@ pub struct ServeMetrics {
     pub(crate) requests: Arc<Counter>,
     /// Metrics scrapes served.
     pub(crate) scrapes: Arc<Counter>,
+    /// Rounds executed, over every cell.
+    rounds: Arc<Counter>,
+    /// Rounds that paid the service cost.
+    paid_rounds: Arc<Counter>,
+    /// Service cost.
+    service_cost: Arc<Counter>,
+    /// Reorganisation cost (already multiplied by α).
+    reorg_cost: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -86,6 +99,10 @@ impl ServeMetrics {
             batches: registry.counter("otc_serve_batches_total", &[]),
             requests: registry.counter("otc_serve_requests_total", &[]),
             scrapes: registry.counter("otc_serve_scrapes_total", &[]),
+            rounds: registry.counter("otc_serve_rounds_total", &[]),
+            paid_rounds: registry.counter("otc_serve_paid_rounds_total", &[]),
+            service_cost: registry.counter("otc_serve_service_cost_total", &[]),
+            reorg_cost: registry.counter("otc_serve_reorg_cost_total", &[]),
             registry,
         };
         let cells_gauge = metrics.registry.gauge("otc_serve_cells", &[]);
@@ -109,40 +126,23 @@ impl ServeMetrics {
         if let Some(h) = self.drain.get(cell) {
             h.record(nanos);
         }
+        self.batches.inc();
+    }
+
+    /// Add to the cost counters: one run's deltas, or the totals a
+    /// resumed service recovered.
+    #[inline]
+    pub(crate) fn add_cost(&self, rounds: u64, paid_rounds: u64, cost: Cost) {
+        self.rounds.add(rounds);
+        self.paid_rounds.add(paid_rounds);
+        self.service_cost.add(cost.service);
+        self.reorg_cost.add(cost.reorg);
     }
 
     /// A deterministic-ordered snapshot of every series.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
-    }
-}
-
-/// The drain timer, riding the one-way [`BatchHooks`] seam: `otc-sim`
-/// calls in with the cell id and batch length, and nothing flows back.
-pub(crate) struct DrainHooks<'a> {
-    metrics: &'a ServeMetrics,
-    start: Option<Stamp>,
-}
-
-impl<'a> DrainHooks<'a> {
-    pub(crate) fn new(metrics: &'a ServeMetrics) -> Self {
-        Self { metrics, start: None }
-    }
-}
-
-impl BatchHooks for DrainHooks<'_> {
-    #[inline]
-    fn before_batch(&mut self, _cell: u32, _len: usize) {
-        self.start = Some(clock::stamp());
-    }
-
-    #[inline]
-    fn after_batch(&mut self, cell: u32, _len: usize) {
-        if let Some(start) = self.start.take() {
-            self.metrics.record_drain(cell as usize, start.elapsed_nanos());
-            self.metrics.batches.inc();
-        }
     }
 }
 
@@ -169,33 +169,19 @@ mod tests {
             "otc_serve_batches_total",
             "otc_serve_requests_total",
             "otc_serve_scrapes_total",
+            "otc_serve_rounds_total",
+            "otc_serve_paid_rounds_total",
+            "otc_serve_service_cost_total",
+            "otc_serve_reorg_cost_total",
             "otc_serve_cells",
             "otc_serve_groups",
         ] {
             assert!(names.contains(&want), "missing {want} in {names:?}");
         }
-        // 3 drain + 2 ring_wait + 3 plain histograms + 4 counters + 2 gauges.
-        assert_eq!(snap.metrics.len(), 14);
+        // 3 drain + 2 ring_wait + 3 plain histograms + 8 counters + 2 gauges.
+        assert_eq!(snap.metrics.len(), 18);
         // The scrape round-trips through the exposition codec.
         let json = snap.to_json();
         assert_eq!(MetricsSnapshot::from_json(&json).expect("canonical"), snap);
-    }
-
-    #[test]
-    fn drain_hooks_time_one_batch() {
-        let m = ServeMetrics::new(1, 1);
-        let mut hooks = DrainHooks::new(&m);
-        hooks.before_batch(0, 8);
-        hooks.after_batch(0, 8);
-        let snap = m.snapshot();
-        let drain = snap
-            .metrics
-            .iter()
-            .find(|r| r.name == "otc_serve_drain_nanos")
-            .expect("drain series exists");
-        match &drain.value {
-            otc_obs::MetricValue::Histogram(h) => assert_eq!(h.count, 1),
-            other => panic!("drain is a histogram, got {other:?}"),
-        }
     }
 }

@@ -83,7 +83,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use otc_core::forest::ShardId;
-use otc_core::request::Request;
+use otc_core::request::{Cost, Request};
 use otc_obs::clock::{self, Stamp};
 use otc_obs::MetricsSnapshot;
 use otc_sim::engine::{EngineConfig, EngineError, ShardedEngine};
@@ -96,9 +96,9 @@ use otc_workloads::trace::{
     TraceEvent, TraceHeader, TraceReader, TraceWriter, TRACE_FLAG_REBALANCE,
 };
 
-use crate::obs::{DrainHooks, ServeMetrics};
+use crate::obs::ServeMetrics;
 use crate::rebalance::{detach_cell, install_cell, net_moves, Handoff, Probe, RebalancePolicy};
-use crate::wire::{self, Message, ServeStats, WIRE_VERSION};
+use crate::wire::{self, Message, WIRE_VERSION};
 
 /// Where the server logs the accepted request stream as an OTCT binary
 /// trace. Every service logs: the log is what recovery, rebalance
@@ -162,9 +162,13 @@ pub struct ServeConfig {
     /// Off by default. Observation is a pure side-band — results, trace
     /// bytes, telemetry and rebalance schedules are bit-identical with
     /// metrics on, off, or scraped mid-run (invariant #8, proven by
-    /// `crates/serve/tests/observer.rs`). Metrics are wall-clock state,
-    /// not engine state: [`Server::resume`] starts a fresh surface
-    /// rather than recovering one.
+    /// `crates/serve/tests/observer.rs`). The surface includes the
+    /// paper's cost totals as counters (`otc_serve_rounds_total`,
+    /// `otc_serve_paid_rounds_total`, `otc_serve_service_cost_total`,
+    /// `otc_serve_reorg_cost_total`). On [`Server::resume`] the stage
+    /// histograms and operational counters start fresh (wall-clock state
+    /// is not recovered), while the cost counters resume at the
+    /// recovered totals.
     pub metrics: bool,
 }
 
@@ -260,7 +264,7 @@ const MEMORY_LOG_INITIAL: usize = 64 * 1024;
 /// The trace sink behind the ingress lock.
 enum TraceSink {
     Memory(TraceWriter<Cursor<Vec<u8>>>),
-    File(TraceWriter<BufWriter<std::fs::File>>, PathBuf),
+    File(TraceWriter<File>, PathBuf),
 }
 
 impl TraceSink {
@@ -284,7 +288,7 @@ impl TraceSink {
         match self {
             TraceSink::Memory(w) => Ok((Some(w.finish()?.into_inner()), None)),
             TraceSink::File(w, path) => {
-                w.finish()?.flush()?;
+                w.finish()?;
                 Ok((None, Some(path)))
             }
         }
@@ -377,8 +381,6 @@ struct Shared {
     /// notify, drain barriers wait on it.
     progress: Mutex<Vec<u64>>,
     progress_cv: Condvar,
-    /// Cumulative executed-cost counters for cheap Stats replies.
-    stats: Mutex<ServeStats>,
     /// First protocol violation anywhere in the service (sticky poison).
     poisoned: Mutex<Option<EngineError>>,
     /// Snapshot cadence, when configured.
@@ -640,10 +642,6 @@ impl Shared {
             progress = self.progress_cv.wait(progress).unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    fn stats_snapshot(&self) -> ServeStats {
-        *locked(&self.stats)
-    }
 }
 
 /// A running serving instance. Start it with [`Server::start`], connect
@@ -685,10 +683,10 @@ impl Server {
                 header(),
                 flags,
             )?),
-            TraceLog::File(path) => {
-                let file = BufWriter::new(File::create(path)?);
-                TraceSink::File(TraceWriter::with_flags(file, header(), flags)?, path.clone())
-            }
+            TraceLog::File(path) => TraceSink::File(
+                TraceWriter::with_flags(File::create(path)?, header(), flags)?,
+                path.clone(),
+            ),
         };
 
         let shards = shard_workers.len();
@@ -701,7 +699,6 @@ impl Server {
             sink,
             vec![0; groups],
             0,
-            ServeStats::default(),
             rebalancer,
             0,
             &cfg,
@@ -723,7 +720,6 @@ impl Server {
         sink: TraceSink,
         enqueued: Vec<u64>,
         accepted: u64,
-        stats: ServeStats,
         rebalancer: Option<Rebalancer>,
         migrations: u64,
         cfg: &ServeConfig,
@@ -740,6 +736,15 @@ impl Server {
         if enqueued.len() != groups {
             return Err(io::Error::other("one enqueued counter per group (internal)"));
         }
+        // The cost counters start from the cells' totals, so a resumed
+        // service keeps counting its lifetime, not its latest run.
+        let metrics = cfg.metrics.then(|| {
+            let metrics = ServeMetrics::new(router.num_shards(), groups);
+            for w in &shard_workers {
+                metrics.add_cost(w.rounds(), w.paid_rounds(), w.cost());
+            }
+            Arc::new(metrics)
+        });
         let mut grouped: Vec<BTreeMap<u32, ShardWorker>> =
             (0..groups).map(|_| BTreeMap::new()).collect();
         for worker in shard_workers {
@@ -769,7 +774,6 @@ impl Server {
             receivers.push(rx);
         }
 
-        let metrics = cfg.metrics.then(|| Arc::new(ServeMetrics::new(router.num_shards(), groups)));
         let shared = Arc::new(Shared {
             router,
             engine_cfg,
@@ -784,7 +788,6 @@ impl Server {
             // Everything already replayed counts as executed.
             progress: Mutex::new(enqueued),
             progress_cv: Condvar::new(),
-            stats: Mutex::new(stats),
             poisoned: Mutex::new(None),
             snapshots: cfg.snapshots.clone(),
             rebalance: cfg.rebalance.clone(),
@@ -834,13 +837,6 @@ impl Server {
         self.workers.len()
     }
 
-    /// A snapshot of the executed-so-far counters (what a client's
-    /// `Stats` request returns).
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        self.shared.stats_snapshot()
-    }
-
     /// A live scrape of the wall-clock metrics surface (`None` when the
     /// service runs without [`ServeConfig::metrics`]). Observe-only —
     /// scraping at any moment never perturbs results (invariant #8);
@@ -848,6 +844,21 @@ impl Server {
     #[must_use]
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
         self.shared.metrics.as_deref().map(ServeMetrics::snapshot)
+    }
+
+    /// The common prologue of [`Server::shutdown`] and [`Server::kill`]:
+    /// flag the shutdown, unblock the acceptor with a throwaway
+    /// connection, and join it and every connection thread.
+    fn stop_accepting(&mut self) {
+        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        if let Some(h) = self.acceptor.take() {
+            let _ = h.join();
+        }
+        let conns = std::mem::take(&mut *locked(&self.shared.conns));
+        for h in conns {
+            let _ = h.join();
+        }
     }
 
     /// Graceful shutdown: stop accepting, wait for connected clients to
@@ -862,16 +873,7 @@ impl Server {
     /// The first protocol violation any shard observed (the service
     /// poison), or trace-log I/O failures.
     pub fn shutdown(mut self) -> Result<ServeOutcome, EngineError> {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *locked(&self.shared.conns));
-        for h in conns {
-            let _ = h.join();
-        }
+        self.stop_accepting();
         // Closing ingress drops the senders; each group drains its ring
         // and exits on disconnect.
         let (sink, accepted, rebalance) = {
@@ -947,15 +949,7 @@ impl Server {
     /// # Errors
     /// I/O errors syncing the log's buffered tail to the sink.
     pub fn kill(mut self) -> io::Result<Option<PathBuf>> {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        let conns = std::mem::take(&mut *locked(&self.shared.conns));
-        for h in conns {
-            let _ = h.join();
-        }
+        self.stop_accepting();
         let sink = locked(&self.shared.ingress).open.take().map(|(_senders, sink)| sink);
         // Join the workers (they exit on ring disconnect) so no thread
         // outlives the "dead" service; their state is dropped unread.
@@ -1162,16 +1156,8 @@ impl Server {
             ));
         }
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let writer =
-            TraceWriter::resume_with_flags(BufWriter::new(file), header, 0, good_records, flags)?;
+        let writer = TraceWriter::resume_with_flags(file, header, 0, good_records, flags)?;
         let sink = TraceSink::File(writer, path);
-
-        let stats = ServeStats {
-            rounds: shard_workers.iter().map(ShardWorker::rounds).sum(),
-            paid_rounds: shard_workers.iter().map(ShardWorker::paid_rounds).sum(),
-            service_cost: shard_workers.iter().map(|w| w.cost().service).sum(),
-            reorg_cost: shard_workers.iter().map(|w| w.cost().reorg).sum(),
-        };
 
         // The per-group counters the recovered service starts from: each
         // cell's replayed requests count toward the group that owns the
@@ -1200,7 +1186,6 @@ impl Server {
             sink,
             enqueued,
             good_records,
-            stats,
             rebalancer,
             migrations,
             &cfg,
@@ -1272,21 +1257,9 @@ fn rebalancer_for(
     }
 }
 
-/// Per-run stat deltas a group accumulates locally and publishes once
-/// per wakeup. Captured around each *cell's* run — summing a whole
-/// group's counters before and after a wakeup would go backwards the
-/// moment a cell migrates out mid-batch.
-#[derive(Default)]
-struct StatsDelta {
-    rounds: u64,
-    paid_rounds: u64,
-    service_cost: u64,
-    reorg_cost: u64,
-}
-
 /// Per-group worker thread: drain the ring in FIFO batches, drive the
 /// hosted [`ShardWorker`] cells through the request runs between
-/// markers, publish progress and stats; exit (returning the cells it
+/// markers, publish progress; exit (returning the cells it
 /// ended up hosting) when ingress closes the channel.
 fn worker_loop(
     group: usize,
@@ -1303,7 +1276,6 @@ fn worker_loop(
             return cells.into_values().collect(); // disconnected and drained
         }
         let mut executed = 0u64;
-        let mut delta = StatsDelta::default();
         // Consecutive requests for the same cell run as one batch; any
         // marker (and any cell switch) flushes the buffered run first, so
         // every marker acts after exactly the prefix FIFO put before it.
@@ -1313,8 +1285,7 @@ fn worker_loop(
             match cmd {
                 Cmd::Req(cell, r) => {
                     if run_cell != Some(cell) {
-                        executed +=
-                            run_buffered(&mut cells, run_cell, &mut scratch, shared, &mut delta);
+                        executed += run_buffered(&mut cells, run_cell, &mut scratch, shared);
                         run_cell = Some(cell);
                     }
                     scratch.push(r);
@@ -1328,8 +1299,7 @@ fn worker_loop(
                     }
                 }
                 marker => {
-                    executed +=
-                        run_buffered(&mut cells, run_cell, &mut scratch, shared, &mut delta);
+                    executed += run_buffered(&mut cells, run_cell, &mut scratch, shared);
                     run_cell = None;
                     match marker {
                         Cmd::Req(..) | Cmd::Stamp(..) => {} // unreachable: handled above
@@ -1381,16 +1351,7 @@ fn worker_loop(
                 }
             }
         }
-        executed += run_buffered(&mut cells, run_cell, &mut scratch, shared, &mut delta);
-        // Stats before progress: a drain barrier releases on progress, and
-        // `Stats` after a drain must already include every executed batch.
-        {
-            let mut stats = locked(&shared.stats);
-            stats.rounds += delta.rounds;
-            stats.paid_rounds += delta.paid_rounds;
-            stats.service_cost += delta.service_cost;
-            stats.reorg_cost += delta.reorg_cost;
-        }
+        executed += run_buffered(&mut cells, run_cell, &mut scratch, shared);
         // Progress counts *consumed* requests even past a violation, so
         // drain barriers and backpressure keep moving while the error
         // propagates.
@@ -1405,8 +1366,10 @@ fn worker_loop(
 }
 
 /// Runs (and clears) one buffered run of requests on the cell that
-/// buffered them, poisoning the service on the first violation and
-/// accumulating the cell's stat deltas. Returns how many requests were
+/// buffered them, poisoning the service on the first violation. With
+/// metrics on, it times the run and adds the cell's cost deltas to the
+/// cost counters — before the caller publishes progress, so a scrape
+/// after a drain barrier is exact. Returns how many requests were
 /// consumed (consumed ≠ executed only past a violation or a protocol
 /// bug, and both poison).
 fn run_buffered(
@@ -1414,7 +1377,6 @@ fn run_buffered(
     cell: Option<u32>,
     scratch: &mut Vec<Request>,
     shared: &Shared,
-    delta: &mut StatsDelta,
 ) -> u64 {
     let n = scratch.len() as u64;
     if n == 0 {
@@ -1436,26 +1398,25 @@ fn run_buffered(
         return n;
     };
     if worker.error().is_none() {
-        let before_cost = worker.cost();
-        let before = (worker.rounds(), worker.paid_rounds());
-        // The hooked path runs the *same* drain — the hooks seam is
-        // one-way (timings out, nothing in), so both arms are
-        // bit-identical in effect (invariant #8).
-        let run = match shared.metrics.as_deref() {
-            Some(m) => {
-                let mut hooks = DrainHooks::new(m);
-                worker.run_batch_hooked(scratch, &mut hooks)
-            }
-            None => worker.run_batch(scratch),
-        };
+        // Metrics only read the worker's counters and the clock around
+        // the drain; nothing flows back into it (invariant #8).
+        let before = shared
+            .metrics
+            .as_ref()
+            .map(|_| (worker.rounds(), worker.paid_rounds(), worker.cost(), clock::stamp()));
+        let run = worker.run_batch(scratch);
+        if let (Some(m), Some((rounds, paid_rounds, cost, start))) = (&shared.metrics, before) {
+            m.record_drain(cell as usize, start.elapsed_nanos());
+            let after = worker.cost();
+            m.add_cost(
+                worker.rounds() - rounds,
+                worker.paid_rounds() - paid_rounds,
+                Cost { service: after.service - cost.service, reorg: after.reorg - cost.reorg },
+            );
+        }
         if let Err(message) = run {
             shared.set_poison(Some(worker.shard()), message);
         }
-        let after_cost = worker.cost();
-        delta.rounds += worker.rounds() - before.0;
-        delta.paid_rounds += worker.paid_rounds() - before.1;
-        delta.service_cost += after_cost.service - before_cost.service;
-        delta.reorg_cost += after_cost.reorg - before_cost.reorg;
     }
     scratch.clear();
     n
@@ -1627,13 +1588,6 @@ fn connection_loop(
                     return Ok(());
                 }
             },
-            Message::Stats => {
-                wire::write_message(
-                    &mut writer,
-                    &Message::StatsReply(shared.stats_snapshot()),
-                    &mut wbuf,
-                )?;
-            }
             Message::Drain => {
                 shared.wait_drained();
                 wire::write_message(&mut writer, &Message::Ack { accepted: 0 }, &mut wbuf)?;

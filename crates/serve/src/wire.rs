@@ -46,31 +46,6 @@ pub const WIRE_VERSION: u16 = 1;
 /// this.
 pub const MAX_FRAME: u32 = 1 << 24;
 
-/// Cumulative service counters reported by [`Message::StatsReply`].
-///
-/// A racy-but-consistent snapshot: counters are folded in batch
-/// granularity, so a request accepted but still queued is not yet
-/// visible. After a drain barrier the snapshot is exact.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Rounds executed across all shards.
-    pub rounds: u64,
-    /// Rounds that paid the service cost.
-    pub paid_rounds: u64,
-    /// Total service cost so far.
-    pub service_cost: u64,
-    /// Total reorganisation cost so far (already multiplied by α).
-    pub reorg_cost: u64,
-}
-
-impl ServeStats {
-    /// Total cost so far.
-    #[must_use]
-    pub fn total_cost(&self) -> u64 {
-        self.service_cost + self.reorg_cost
-    }
-}
-
 /// One protocol message. See the module docs for the frame layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
@@ -98,16 +73,11 @@ pub enum Message {
         /// The requests, in submission order.
         requests: Vec<Request>,
     },
-    /// Ask for a [`Message::StatsReply`] snapshot.
-    Stats,
-    /// Cumulative counters (reply to [`Message::Stats`]).
-    StatsReply(ServeStats),
-    /// Ask for a [`Message::MetricsReply`] — the live wall-clock
-    /// observability scrape (stage-latency histograms and operational
-    /// counters), as opposed to [`Message::Stats`]'s deterministic cost
-    /// counters. Serving a scrape never perturbs results (observability
-    /// invariant #8); on a server running without metrics the reply is
-    /// the valid empty exposition.
+    /// Ask for a [`Message::MetricsReply`] — the server's one live
+    /// read-out: stage-latency histograms, operational counters and the
+    /// paper's cost totals (see [`crate::obs`]). Serving a scrape never
+    /// perturbs results (observability invariant #8); on a server
+    /// running without metrics the reply is the valid empty exposition.
     Metrics,
     /// The metrics scrape (reply to [`Message::Metrics`]): a canonical
     /// `otc-obs/1` JSON document (see `otc_obs::MetricsSnapshot`).
@@ -135,17 +105,17 @@ pub enum Message {
 }
 
 /// Opcode bytes. Client→server opcodes have the high bit clear,
-/// server→client replies have it set.
+/// server→client replies have it set. `0x03` and `0x83` (a retired
+/// cost-counter request and its reply, now scrape series) are never
+/// reused: they decode as unknown opcodes.
 mod op {
     pub const HELLO: u8 = 0x01;
     pub const SUBMIT: u8 = 0x02;
-    pub const STATS: u8 = 0x03;
     pub const DRAIN: u8 = 0x04;
     pub const BYE: u8 = 0x05;
     pub const METRICS: u8 = 0x06;
     pub const HELLO_ACK: u8 = 0x81;
     pub const ACK: u8 = 0x82;
-    pub const STATS_REPLY: u8 = 0x83;
     pub const METRICS_REPLY: u8 = 0x84;
     pub const ERROR: u8 = 0xEE;
 }
@@ -222,13 +192,11 @@ impl Message {
         match self {
             Message::Hello { .. } => op::HELLO,
             Message::Submit { .. } => op::SUBMIT,
-            Message::Stats => op::STATS,
             Message::Metrics => op::METRICS,
             Message::Drain => op::DRAIN,
             Message::Bye => op::BYE,
             Message::HelloAck { .. } => op::HELLO_ACK,
             Message::Ack { .. } => op::ACK,
-            Message::StatsReply(_) => op::STATS_REPLY,
             Message::MetricsReply { .. } => op::METRICS_REPLY,
             Message::Error { .. } => op::ERROR,
         }
@@ -253,18 +221,8 @@ impl Message {
                 buf.extend_from_slice(&shards.to_le_bytes());
             }
             // Submit took the early return above; nothing to add here.
-            Message::Submit { .. }
-            | Message::Stats
-            | Message::Metrics
-            | Message::Drain
-            | Message::Bye => {}
+            Message::Submit { .. } | Message::Metrics | Message::Drain | Message::Bye => {}
             Message::MetricsReply { json } => buf.extend_from_slice(json.as_bytes()),
-            Message::StatsReply(s) => {
-                codec::encode_varint(buf, s.rounds);
-                codec::encode_varint(buf, s.paid_rounds);
-                codec::encode_varint(buf, s.service_cost);
-                codec::encode_varint(buf, s.reorg_cost);
-            }
             Message::Ack { accepted } => codec::encode_varint(buf, *accepted),
             Message::Error { message } => buf.extend_from_slice(message.as_bytes()),
         }
@@ -329,33 +287,15 @@ impl Message {
                 }
                 Ok(Message::Submit { requests })
             }
-            op::STATS | op::METRICS | op::DRAIN | op::BYE => {
+            op::METRICS | op::DRAIN | op::BYE => {
                 if !payload.is_empty() {
                     return Err(bad_data("unexpected payload on a bare opcode"));
                 }
                 Ok(match opcode {
-                    op::STATS => Message::Stats,
                     op::METRICS => Message::Metrics,
                     op::DRAIN => Message::Drain,
                     _ => Message::Bye,
                 })
-            }
-            op::STATS_REPLY => {
-                let mut src = io::Cursor::new(payload);
-                let mut next = || {
-                    codec::decode_varint(&mut src)
-                        .and_then(|v| v.ok_or_else(|| bad_data("StatsReply truncated")))
-                };
-                let stats = ServeStats {
-                    rounds: next()?,
-                    paid_rounds: next()?,
-                    service_cost: next()?,
-                    reorg_cost: next()?,
-                };
-                if src.position() != payload.len() as u64 {
-                    return Err(bad_data("trailing bytes after StatsReply"));
-                }
-                Ok(Message::StatsReply(stats))
             }
             op::ACK => {
                 let mut src = io::Cursor::new(payload);
@@ -476,13 +416,6 @@ mod tests {
                 Request::pos(NodeId(u32::MAX)),
             ],
         });
-        round_trip(&Message::Stats);
-        round_trip(&Message::StatsReply(ServeStats {
-            rounds: 10,
-            paid_rounds: 4,
-            service_cost: 4,
-            reorg_cost: 12,
-        }));
         round_trip(&Message::Metrics);
         round_trip(&Message::MetricsReply {
             json: "{\"format\":\"otc-obs/1\",\"metrics\":[]}".to_string(),
@@ -522,11 +455,13 @@ mod tests {
         let huge = (MAX_FRAME + 1).to_le_bytes();
         let err = read_message(&mut io::Cursor::new(&huge[..]), &mut scratch).unwrap_err();
         assert!(err.to_string().contains("cap"), "got: {err}");
-        // Unknown opcode.
-        let mut frame = 1u32.to_le_bytes().to_vec();
-        frame.push(0x7F);
-        let err = read_message(&mut io::Cursor::new(&frame), &mut scratch).unwrap_err();
-        assert!(err.to_string().contains("unknown opcode"), "got: {err}");
+        // Unknown opcodes, the two retired ones included.
+        for opcode in [0x7F, 0x03, 0x83] {
+            let mut frame = 1u32.to_le_bytes().to_vec();
+            frame.push(opcode);
+            let err = read_message(&mut io::Cursor::new(&frame), &mut scratch).unwrap_err();
+            assert!(err.to_string().contains("unknown opcode"), "{opcode:#04x}: {err}");
+        }
         // Bad handshake magic.
         let mut buf = Vec::new();
         Message::Hello { version: 1 }.encode_into(&mut buf);

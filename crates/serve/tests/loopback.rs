@@ -148,36 +148,6 @@ fn live_equals_replay_at(queue_capacity: usize) {
     );
 }
 
-/// Stats are exact after a drain barrier, and the server-side snapshot
-/// agrees with the wire one.
-#[test]
-fn stats_are_exact_after_drain() {
-    let tree = Tree::star(24);
-    let forest = Forest::partition(&tree, 3);
-    let engine = ShardedEngine::new(forest.clone(), &factory, EngineConfig::new(ALPHA));
-    let server = Server::start(engine, ServeConfig::default()).expect("bind");
-
-    let reqs = mixed(25, 2000, 77);
-    let mut client = Client::connect(server.addr()).expect("connect");
-    client.submit(&reqs).expect("submit");
-    client.drain().expect("drain");
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.rounds, 2000);
-
-    // Offline ground truth on the same sequence.
-    let mut offline = ShardedEngine::new(forest, &factory, EngineConfig::new(ALPHA));
-    offline.submit_batch(&reqs).expect("valid");
-    let report = offline.into_report().expect("valid");
-    assert_eq!(stats.paid_rounds, report.paid_rounds);
-    assert_eq!(stats.service_cost, report.cost.service);
-    assert_eq!(stats.reorg_cost, report.cost.reorg);
-    assert_eq!(server.stats(), stats, "server-side and wire snapshots agree");
-
-    client.bye().expect("bye");
-    let outcome = server.shutdown().expect("clean shutdown");
-    assert_eq!(outcome.report, report, "the service still matches the offline batch");
-}
-
 /// Out-of-universe requests are rejected atomically — the offending
 /// batch leaves no trace in the log, the queues, or the reports — and
 /// the connection is closed, while other connections keep working.
@@ -210,7 +180,8 @@ fn out_of_universe_batches_are_rejected_atomically() {
 }
 
 /// A protocol-corrupt frame gets an Error reply and a closed connection;
-/// a version-mismatched Hello is refused.
+/// a version-mismatched Hello is refused, and so is a retired opcode
+/// after a valid handshake.
 #[test]
 fn corrupt_frames_and_bad_handshakes_are_refused() {
     use std::io::{Read, Write};
@@ -220,31 +191,37 @@ fn corrupt_frames_and_bad_handshakes_are_refused() {
         ShardedEngine::new(Forest::partition(&tree, 2), &factory, EngineConfig::new(ALPHA));
     let server = Server::start(engine, ServeConfig::default()).expect("bind");
 
-    // Hand-rolled bad handshake: wrong magic.
-    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
-    raw.write_all(&7u32.to_le_bytes()).expect("len");
-    raw.write_all(&[0x01]).expect("opcode");
-    raw.write_all(b"XXXX\x01\x00").expect("payload");
-    let mut reply = Vec::new();
-    raw.read_to_end(&mut reply).expect("server closes after Error");
-    // The reply is one Error frame: 4-byte len, opcode 0xEE, message.
-    assert!(reply.len() > 5);
-    assert_eq!(reply[4], 0xEE, "server answers corruption with an Error frame");
-    let message = std::str::from_utf8(&reply[5..]).expect("UTF-8 error text");
-    assert!(message.contains("magic"), "got: {message}");
+    // Each abuse is answered, after `skip` reply bytes, with exactly one
+    // Error frame (4-byte len, opcode 0xEE, message), then a close; a
+    // server that keeps the connection open fails the read timeout.
+    let refused = |sent: &[u8], skip: usize| -> String {
+        let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("timeout");
+        raw.write_all(sent).expect("write");
+        let mut reply = Vec::new();
+        raw.read_to_end(&mut reply).expect("server closes after Error");
+        let frame = &reply[skip..];
+        assert_eq!(frame[4], 0xEE, "server answers with an Error frame");
+        let len = u32::from_le_bytes(frame[..4].try_into().expect("len"));
+        assert_eq!(frame.len(), 4 + len as usize, "one Error frame, then close");
+        String::from_utf8(frame[5..].to_vec()).expect("UTF-8 error text")
+    };
+    let hello = |payload: &[u8]| [&7u32.to_le_bytes()[..], &[0x01], payload].concat();
 
-    // Version mismatch through a hand-rolled Hello.
-    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
-    raw.write_all(&7u32.to_le_bytes()).expect("len");
-    raw.write_all(&[0x01]).expect("opcode");
-    raw.write_all(b"OTCW\xFF\x00").expect("payload: version 255");
-    let mut reply = Vec::new();
-    raw.read_to_end(&mut reply).expect("server closes after Error");
-    assert_eq!(reply[4], 0xEE);
-    let message = std::str::from_utf8(&reply[5..]).expect("UTF-8 error text");
+    // Hand-rolled bad handshakes: wrong magic, then version 255.
+    let message = refused(&hello(b"XXXX\x01\x00"), 0);
+    assert!(message.contains("magic"), "got: {message}");
+    let message = refused(&hello(b"OTCW\xFF\x00"), 0);
     assert!(message.contains("version"), "got: {message}");
 
-    // The service survives both abuses.
+    // A valid Hello, then the bare retired opcode 0x03: the Error frame
+    // follows the HelloAck (len + opcode + magic + version + universe +
+    // shards).
+    let retired = [hello(b"OTCW\x01\x00"), vec![1, 0, 0, 0, 0x03]].concat();
+    let message = refused(&retired, 4 + 1 + 4 + 2 + 4 + 4);
+    assert!(message.contains("unknown opcode"), "got: {message}");
+
+    // The service survives all three abuses.
     let mut client = Client::connect(server.addr()).expect("connect");
     client.submit(&[Request::pos(NodeId(1))]).expect("still serving");
     client.bye().expect("bye");

@@ -104,6 +104,28 @@ fn run_once(forest: &Forest, reqs: &[Request], metrics: bool, scrapers: usize) -
     server.shutdown().expect("clean shutdown")
 }
 
+/// The single counter series called `name` in `snap`.
+fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
+    let values: Vec<&MetricValue> =
+        snap.metrics.iter().filter(|r| r.name == name).map(|r| &r.value).collect();
+    match values.as_slice() {
+        [MetricValue::Counter(n)] => *n,
+        other => panic!("{name}: expected one counter, got {other:?}"),
+    }
+}
+
+/// The scrape's cost counters equal `report`'s totals.
+fn assert_costs_match(snap: &MetricsSnapshot, report: &Report, context: &str) {
+    for (name, want) in [
+        ("otc_serve_rounds_total", report.rounds),
+        ("otc_serve_paid_rounds_total", report.paid_rounds),
+        ("otc_serve_service_cost_total", report.cost.service),
+        ("otc_serve_reorg_cost_total", report.cost.reorg),
+    ] {
+        assert_eq!(counter(snap, name), want, "{context}: {name}");
+    }
+}
+
 /// Replays `trace_bytes` and returns the per-shard reports.
 fn replay(forest: &Forest, trace_bytes: &[u8], cfg: EngineConfig) -> Vec<Report> {
     let mut engine = ShardedEngine::new(forest.clone(), &factory, cfg);
@@ -201,7 +223,9 @@ fn rebalance_schedule_is_identical_with_metrics_on() {
 /// Kill/resume differential: a metrics-on service killed mid-stream
 /// writes a parseable final dump next to the synced log, and the
 /// resumed run's outcome is bit-identical to the metrics-off twin —
-/// at replay threads {1, nproc}.
+/// at replay threads {1, nproc}. The resumed service's cost counters
+/// start at the recovered totals, so its final scrape equals the
+/// lifetime report, not just the post-resume tail.
 #[test]
 fn kill_dump_parses_and_resume_matches_metrics_off_twin() {
     let tree = Tree::star(40);
@@ -254,7 +278,8 @@ fn kill_dump_parses_and_resume_matches_metrics_off_twin() {
         assert_eq!(off.per_shard, on.per_shard, "resume at {threads} threads: per-shard");
         assert_eq!(off.report, on.report, "resume at {threads} threads: aggregate");
         assert_eq!(off.timeline.windows, on.timeline.windows, "telemetry");
-        assert!(on.metrics.is_some(), "the resumed service served a fresh surface");
+        let final_snap = on.metrics.as_ref().expect("the resumed service serves metrics");
+        assert_costs_match(final_snap, &on.report, &format!("resume at {threads} threads"));
         std::fs::remove_dir_all(&on_root).ok();
     }
     std::fs::remove_dir_all(&off_root).ok();
@@ -279,13 +304,14 @@ fn scrape_of_a_metrics_off_server_is_the_empty_exposition() {
 
 /// The scrape carries the advertised stage surface with real samples:
 /// every stage histogram series exists, the drained batches and
-/// accepted requests counted, and the wire scrape equals the
-/// server-side one after a drain barrier.
+/// accepted requests counted, the cost counters equal an offline run
+/// of the same requests, and the wire scrape equals the server-side one
+/// after a drain barrier.
 #[test]
 fn scrape_contains_every_stage_with_samples() {
     let tree = Tree::star(24);
     let forest = Forest::partition(&tree, 3);
-    let engine = ShardedEngine::new(forest, &factory, EngineConfig::new(ALPHA));
+    let engine = ShardedEngine::new(forest.clone(), &factory, EngineConfig::new(ALPHA));
     let server = Server::start(engine, ServeConfig { metrics: true, ..ServeConfig::default() })
         .expect("bind");
 
@@ -297,12 +323,6 @@ fn scrape_contains_every_stage_with_samples() {
 
     let find = |name: &str| -> Vec<&MetricValue> {
         snap.metrics.iter().filter(|r| r.name == name).map(|r| &r.value).collect()
-    };
-    let counter = |name: &str| -> u64 {
-        match find(name).as_slice() {
-            [MetricValue::Counter(n)] => *n,
-            other => panic!("{name}: expected one counter, got {other:?}"),
-        }
     };
     for stage in ["otc_serve_accept_nanos", "otc_serve_lock_hold_nanos", "otc_serve_flush_nanos"] {
         match find(stage).as_slice() {
@@ -322,10 +342,17 @@ fn scrape_contains_every_stage_with_samples() {
         })
         .sum();
     assert!(drained > 0, "cell workers drained batches");
-    assert_eq!(counter("otc_serve_requests_total"), 2000);
-    assert!(counter("otc_serve_batches_total") > 0);
-    assert_eq!(counter("otc_serve_connections_total"), 1);
-    assert_eq!(counter("otc_serve_scrapes_total"), 1, "this scrape is the first");
+    assert_eq!(counter(&snap, "otc_serve_batches_total"), drained, "one batch per drain sample");
+    assert_eq!(counter(&snap, "otc_serve_requests_total"), 2000);
+    assert_eq!(counter(&snap, "otc_serve_connections_total"), 1);
+    assert_eq!(counter(&snap, "otc_serve_scrapes_total"), 1, "this scrape is the first");
+
+    // The cost counters are exact after the drain barrier.
+    let mut offline = ShardedEngine::new(forest, &factory, EngineConfig::new(ALPHA));
+    offline.submit_batch(&reqs).expect("valid");
+    let report = offline.into_report().expect("valid");
+    assert_eq!(report.rounds, 2000);
+    assert_costs_match(&snap, &report, "after a drain");
 
     // The prometheus rendering exposes the same series names.
     let prom = snap.to_prometheus();
@@ -339,6 +366,7 @@ fn scrape_contains_every_stage_with_samples() {
 
     client.bye().expect("bye");
     let outcome = server.shutdown().expect("clean shutdown");
+    assert_eq!(outcome.report, report, "the service still matches the offline batch");
     let final_snap = outcome.metrics.expect("metrics-on outcome");
     assert!(!final_snap.metrics.is_empty());
 }

@@ -68,4 +68,4 @@ pub use snapshot::{
     SnapshotMeta,
 };
 pub use telemetry::{Timeline, WindowRecord};
-pub use worker::{timeline_from_windows, BatchHooks, NoHooks, ShardRouter, ShardWorker};
+pub use worker::{timeline_from_windows, ShardRouter, ShardWorker};

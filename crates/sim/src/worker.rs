@@ -217,31 +217,10 @@ impl ShardWorker {
     /// # Errors
     /// Protocol violations (sticky, as with [`ShardWorker::step`]).
     pub fn run_batch(&mut self, reqs: &[Request]) -> Result<(), String> {
-        self.run_batch_hooked(reqs, &mut NoHooks)
-    }
-
-    /// [`ShardWorker::run_batch`] with an observation seam around the
-    /// drain. The hooks fire once per call, outside all shard state:
-    /// they see only the cell id and batch length before the drain and
-    /// nothing after it, and their return type is `()` — so by
-    /// construction no hook can feed anything back into a state
-    /// transition (invariant #8: observation never changes results).
-    /// With [`NoHooks`] this compiles down to exactly `run_batch`.
-    ///
-    /// # Errors
-    /// Protocol violations (sticky, as with [`ShardWorker::step`]).
-    pub fn run_batch_hooked<H: BatchHooks>(
-        &mut self,
-        reqs: &[Request],
-        hooks: &mut H,
-    ) -> Result<(), String> {
         if let Some(message) = &self.state.failed {
             return Err(message.clone());
         }
-        hooks.before_batch(self.shard.0, reqs.len());
-        let outcome = self.state.drain(reqs, &self.cfg);
-        hooks.after_batch(self.shard.0, reqs.len());
-        match outcome {
+        match self.state.drain(reqs, &self.cfg) {
             Ok(()) => Ok(()),
             Err(message) => {
                 self.state.failed = Some(message.clone());
@@ -320,32 +299,6 @@ impl ShardWorker {
         self.state.driver.finish(self.cfg.sim(), &mut report);
         Ok(report)
     }
-}
-
-/// Observation seam around [`ShardWorker::run_batch_hooked`]: a serving
-/// runtime implements this to time per-cell drains without `otc-sim`
-/// (a determinism crate — otc-lint rule R7) ever depending on a metrics
-/// crate. Both methods return `()` and receive only the cell id and the
-/// batch length, so an implementation cannot influence the drain — the
-/// trait is one-way by construction.
-pub trait BatchHooks {
-    /// Called immediately before a batch drains on a cell worker.
-    fn before_batch(&mut self, cell: u32, len: usize);
-    /// Called immediately after the drain returns (on success and on
-    /// protocol violation alike).
-    fn after_batch(&mut self, cell: u32, len: usize);
-}
-
-/// The no-op hooks [`ShardWorker::run_batch`] uses: everything inlines
-/// away, so the unobserved path pays nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoHooks;
-
-impl BatchHooks for NoHooks {
-    #[inline]
-    fn before_batch(&mut self, _cell: u32, _len: usize) {}
-    #[inline]
-    fn after_batch(&mut self, _cell: u32, _len: usize) {}
 }
 
 /// Assembles per-worker window snapshots into one [`Timeline`] (the

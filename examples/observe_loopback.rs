@@ -18,7 +18,8 @@
 //! 4. prove invariant #8 on a deterministic workload: one sequential
 //!    submitting client (so the accepted order is pinned) served twice —
 //!    once observed (metrics on, scraper polling), once dark — must
-//!    produce identical per-shard reports;
+//!    produce identical per-shard reports, and the observed run's
+//!    scraped cost counters must equal its report;
 //! 5. `kill()` the observed server's successor mid-stream: the final
 //!    scrape is dumped next to the synced log as `<log>.metrics.json`,
 //!    readable after the process is gone.
@@ -178,7 +179,19 @@ fn main() {
         "observation must not change results, per shard"
     );
     assert_eq!(dark_outcome.report, observed_outcome.report, "and in aggregate");
+    // The scrape carries the paper's cost totals: they equal the report.
+    let observed_metrics = observed_outcome.metrics.as_ref().expect("metrics-on outcome");
+    let report = &observed_outcome.report;
+    for (name, want) in [
+        ("otc_serve_rounds_total", report.rounds),
+        ("otc_serve_paid_rounds_total", report.paid_rounds),
+        ("otc_serve_service_cost_total", report.cost.service),
+        ("otc_serve_reorg_cost_total", report.cost.reorg),
+    ] {
+        assert_eq!(counter(observed_metrics, name), want, "{name} equals the report");
+    }
     println!("ok: observed run == dark twin, per shard and in aggregate (invariant #8)");
+    println!("ok: scraped cost counters == report ({} rounds)", report.rounds);
 
     // --- 5. Kill-dump: crash an observed server and read the final
     //     scrape it left next to the synced log.
