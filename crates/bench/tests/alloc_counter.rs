@@ -1,7 +1,7 @@
 //! Counting-allocator harness: proves the buffered step pipeline performs
 //! **zero heap allocations per non-flush round** in steady state, and that
 //! the verified drivers (`run_policy` / `run_stream`) allocate O(1) per
-//! run — not per round — in bare mode.
+//! run — not per round — without instrumentation.
 //!
 //! The global allocator is wrapped in a counter; each assertion warms a
 //! policy/driver up to its high-water mark, snapshots the counter, replays
@@ -26,7 +26,7 @@ use otc_core::tc::{TcConfig, TcFast};
 use otc_core::tree::Tree;
 use otc_core::Request;
 use otc_sim::engine::{EngineConfig, ShardedEngine};
-use otc_sim::{run_policy, run_stream, SimConfig};
+use otc_sim::{run_policy, run_stream};
 use otc_util::SplitMix64;
 use otc_workloads::{random_attachment, uniform_mixed};
 
@@ -141,7 +141,7 @@ fn bare_drivers_allocate_per_run_not_per_round() {
 
     let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(4, 128));
     let before = allocs();
-    run_policy(&tree, &mut tc, &reqs, SimConfig::bare(4)).expect("valid");
+    run_policy(&tree, &mut tc, &reqs, EngineConfig::bare(4)).expect("valid");
     let used = allocs() - before;
     assert!(used <= budget, "run_policy (bare) allocated {used} times for 50k rounds");
 
@@ -149,7 +149,7 @@ fn bare_drivers_allocate_per_run_not_per_round() {
     // per-chunk constant, never per-round. Measure in chunks of 8192.
     let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(4, 128));
     let before = allocs();
-    run_stream(&tree, &mut tc, &reqs, SimConfig::bare(4), 8192).expect("valid");
+    run_stream(&tree, &mut tc, &reqs, EngineConfig::bare(4), 8192).expect("valid");
     let used = allocs() - before;
     let chunks = reqs.len().div_ceil(8192) as u64;
     let audit_budget = if cfg!(debug_assertions) { chunks * 16 } else { 0 };
@@ -456,12 +456,12 @@ fn obs_histogram_and_counter_records_do_not_allocate() {
 }
 
 fn validated_driver_allocates_per_run_not_per_round() {
-    // Even with full validation on (the satellite fix: in-place flush
-    // comparison + epoch-marked changeset scratch), the per-round cost is
-    // allocation-free; instrumentation is off to keep the field-size log
-    // out of the picture.
+    // Every check the driver runs (in-place flush comparison,
+    // epoch-marked changeset scratch, per-batch mirror compare) is
+    // allocation-free per round, flush rounds included; instrumentation is
+    // off to keep the field-size log out of the picture.
     let (tree, reqs) = flushless_workload(0x7A11, 512, 30_000);
-    let cfg = SimConfig { alpha: 2, validate: true, instrument: false };
+    let cfg = EngineConfig::bare(2);
     let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(2, 24));
     let before = allocs();
     let report = run_policy(&tree, &mut tc, &reqs, cfg).expect("valid");

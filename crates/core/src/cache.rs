@@ -134,8 +134,10 @@ impl CacheSet {
     /// Full subforest invariant check: every cached node's children are
     /// cached, and the stored size matches.
     ///
-    /// Returns `Err` with a human-readable reason on violation. Used by the
-    /// simulator after every step and by property tests.
+    /// Returns `Err` with a human-readable reason on violation. O(n): the
+    /// simulator runs it only when it adopts a cache and when a run
+    /// finishes (per-action changeset checks keep the invariant in
+    /// between), and property tests run it freely.
     pub fn validate(&self, tree: &Tree) -> Result<(), String> {
         if self.bits.universe() != tree.len() {
             return Err(format!(

@@ -172,15 +172,6 @@ impl ActionBuffer {
         }
     }
 
-    /// Mutable view of the most recently begun action's nodes (empty slice
-    /// if none). For in-place reordering, e.g. root-first normalisation.
-    pub fn last_nodes_mut(&mut self) -> &mut [NodeId] {
-        match self.kinds.last() {
-            Some(&(_, start)) => &mut self.nodes[start..],
-            None => &mut [],
-        }
-    }
-
     /// Owned snapshot for tests and diagnostics (allocates).
     #[must_use]
     pub fn to_outcome(&self) -> StepOutcome {

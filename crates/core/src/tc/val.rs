@@ -76,13 +76,6 @@ impl ValPair {
             ValPair::zero()
         }
     }
-
-    /// True exactly when the two pairs denote equal rationals (they encode
-    /// `int + size/(T+1)` with the same implicit denominator).
-    #[must_use]
-    pub fn same_value(self, other: ValPair) -> bool {
-        self == other
-    }
 }
 
 impl std::cmp::PartialOrd for ValPair {

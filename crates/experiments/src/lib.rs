@@ -16,7 +16,7 @@ use otc_core::request::Request;
 use otc_core::tc::{TcConfig, TcFast};
 use otc_core::tree::Tree;
 use otc_sim::engine::{EngineConfig, ShardedEngine};
-use otc_sim::{run_policy, run_stream, Report, SimConfig};
+use otc_sim::{run_policy, run_stream, Report};
 
 /// Chunk size used by the batched-driver helpers: large enough to
 /// amortise per-chunk accounting and (in debug builds) the audit hook,
@@ -42,7 +42,7 @@ pub fn banner(id: &str, artifact: &str, claim: &str) {
 #[must_use]
 pub fn run_tc(tree: &Arc<Tree>, requests: &[Request], alpha: u64, capacity: usize) -> Report {
     let mut tc = TcFast::new(Arc::clone(tree), TcConfig::new(alpha, capacity));
-    run_policy(tree, &mut tc, requests, SimConfig::new(alpha))
+    run_policy(tree, &mut tc, requests, EngineConfig::new(alpha))
         .expect("TC must never violate the protocol")
 }
 
@@ -58,7 +58,7 @@ pub fn run_checked(
     requests: &[Request],
     alpha: u64,
 ) -> Report {
-    run_policy(tree, policy, requests, SimConfig::new(alpha))
+    run_policy(tree, policy, requests, EngineConfig::new(alpha))
         .expect("policy must not violate the protocol")
 }
 
@@ -77,7 +77,7 @@ pub fn run_checked_stream(
     requests: &[Request],
     alpha: u64,
 ) -> Report {
-    run_stream(tree, policy, requests, SimConfig::new(alpha), STREAM_CHUNK)
+    run_stream(tree, policy, requests, EngineConfig::new(alpha), STREAM_CHUNK)
         .expect("policy must not violate the protocol")
 }
 
@@ -87,14 +87,14 @@ pub fn tc_total(tree: &Arc<Tree>, requests: &[Request], alpha: u64, capacity: us
     run_tc(tree, requests, alpha, capacity).total()
 }
 
-/// Total cost of a policy through the engine's bare (unvalidated,
-/// uninstrumented) single-shard configuration — the fast path for
-/// ablation sweeps and searches, replacing the old ad-hoc `run_raw`
-/// loops. The paid-service flag and flush payloads are still verified, so
-/// a policy cannot misreport its own cost.
+/// Total cost of a policy through the engine's bare (uninstrumented)
+/// single-shard configuration — the fast path for ablation sweeps and
+/// searches, replacing the old ad-hoc `run_raw` loops. It verifies every
+/// move like any other configuration, so a policy cannot misreport its
+/// own cost.
 ///
 /// # Panics
-/// Panics if the policy misreports a payment or a flush payload.
+/// Panics if the policy violates the protocol.
 #[must_use]
 pub fn bare_cost(
     tree: &Tree,

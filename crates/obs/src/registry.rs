@@ -48,12 +48,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Raise the value to at least `v` (running maximum).
-    #[inline]
-    pub fn raise_to(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {

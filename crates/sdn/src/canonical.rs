@@ -165,7 +165,7 @@ mod tests {
         let cost = evaluate_solution(&tree, &reqs, &solution, alpha, 6).expect("valid");
         // Cross-check against the live simulator.
         let mut tc2 = TcFast::new(Arc::clone(&tree), TcConfig::new(alpha, 6));
-        let report = otc_sim::run_policy(&tree, &mut tc2, &reqs, otc_sim::SimConfig::new(alpha))
+        let report = otc_sim::run_policy(&tree, &mut tc2, &reqs, otc_sim::EngineConfig::new(alpha))
             .expect("valid");
         assert_eq!(cost.total(), report.cost.total());
         assert_eq!(cost.service, report.cost.service);

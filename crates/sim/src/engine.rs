@@ -7,6 +7,14 @@
 //! zero-allocation round contract holds **per shard**: one `ActionBuffer`
 //! plus validation scratch per shard, reused across all rounds.
 //!
+//! Every engine verifies the same way, whatever its [`EngineConfig`]:
+//! each action is checked as it is applied, and the engine compares each
+//! shard policy's cache with its mirror once per batch — at the end of
+//! each drain chunk, after each [`ShardedEngine::map_shards`] closure, and
+//! after each [`ShardedEngine::submit`]. A shard that violates the protocol
+//! (or whose starting cache the driver refuses) is poisoned, and so is the
+//! engine once the violation surfaces.
+//!
 //! Requests are *globally* addressed; a flat routing table (O(1), no
 //! hashing) maps each to its `(shard, local node)` home:
 //!
@@ -43,22 +51,21 @@ use otc_workloads::trace::{TraceEvent, TraceReader};
 
 use crate::rebalance::{RebalanceReplay, Rebalancer};
 use crate::report::Report;
-use crate::runner::{Driver, SimConfig};
+use crate::runner::Driver;
 use crate::telemetry::{Timeline, WindowRecord};
 
 /// Replay chunk capacity given to a fresh (zero-capacity) buffer: 64Ki
 /// requests, large enough to amortise each batch's parallel drain.
 const DEFAULT_REPLAY_CHUNK: usize = 64 * 1024;
 
-/// Engine options: a builder-style superset of [`SimConfig`] (verification
-/// mode, α, instrumentation) plus the engine-level knobs (audit/fold
-/// cadence for batches, worker threads for parallel shard execution).
+/// Engine options: α, instrumentation, and the engine-level knobs
+/// (audit/fold cadence for batches, worker threads for parallel shard
+/// execution). No option touches verification: every configuration runs
+/// the same checks (see the driver's docs in `crate::runner`).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// The per-node reorganisation cost α.
     pub alpha: u64,
-    /// Verify subforest/validity/capacity invariants after every action.
-    pub validate: bool,
     /// Track fields, periods and phases (small constant overhead).
     pub instrument: bool,
     /// Batch chunking cadence: cost accounting folds into the report once
@@ -82,47 +89,18 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Standard configuration: full validation and instrumentation,
-    /// single-threaded, no chunking.
+    /// Standard configuration: instrumented, single-threaded, no
+    /// chunking.
     #[must_use]
     pub fn new(alpha: u64) -> Self {
-        Self {
-            alpha,
-            validate: true,
-            instrument: true,
-            audit_chunk: None,
-            threads: 1,
-            telemetry: false,
-        }
+        Self { alpha, instrument: true, audit_chunk: None, threads: 1, telemetry: false }
     }
 
-    /// Fast configuration for throughput runs: no per-action validation,
-    /// no instrumentation (paid-flag and flush-payload checks still run —
-    /// they are O(1)/O(|flush|) and gate cost misreporting).
+    /// Throughput configuration: [`EngineConfig::new`] without
+    /// instrumentation. It verifies exactly as much.
     #[must_use]
     pub fn bare(alpha: u64) -> Self {
-        Self {
-            alpha,
-            validate: false,
-            instrument: false,
-            audit_chunk: None,
-            threads: 1,
-            telemetry: false,
-        }
-    }
-
-    /// Sets the per-action validation mode.
-    #[must_use]
-    pub fn validate(mut self, on: bool) -> Self {
-        self.validate = on;
-        self
-    }
-
-    /// Sets fields/periods/phases instrumentation.
-    #[must_use]
-    pub fn instrument(mut self, on: bool) -> Self {
-        self.instrument = on;
-        self
+        Self { instrument: false, ..Self::new(alpha) }
     }
 
     /// Enables chunked batch accounting with (debug-build) audits every
@@ -151,25 +129,6 @@ impl EngineConfig {
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
-    }
-
-    /// The per-round simulator options this configuration implies.
-    #[must_use]
-    pub fn sim(&self) -> SimConfig {
-        SimConfig { alpha: self.alpha, validate: self.validate, instrument: self.instrument }
-    }
-}
-
-impl From<SimConfig> for EngineConfig {
-    fn from(cfg: SimConfig) -> Self {
-        Self {
-            alpha: cfg.alpha,
-            validate: cfg.validate,
-            instrument: cfg.instrument,
-            audit_chunk: None,
-            threads: 1,
-            telemetry: false,
-        }
     }
 }
 
@@ -264,8 +223,9 @@ pub(crate) struct ShardState<'p> {
     pub(crate) queue: Vec<Request>,
     pub(crate) round: usize,
     /// First protocol violation observed on this shard (sticky): set by
-    /// [`ShardHandle::step`] so violations inside [`ShardedEngine::map_shards`]
-    /// closures poison the engine even if the closure discards the error.
+    /// every path that drives or (re)loads the shard, so violations inside
+    /// [`ShardedEngine::map_shards`] closures poison the engine even if the
+    /// closure discards the error.
     pub(crate) failed: Option<String>,
     /// Closed telemetry windows (`shard` field filled at collection).
     pub(crate) windows: Vec<WindowRecord>,
@@ -339,10 +299,35 @@ impl ShardState<'_> {
             self.win_base = WindowBase::of(&self.report);
         }
     }
+
+    /// Records `message` as this shard's sticky violation and returns it.
+    pub(crate) fn poison(&mut self, message: String) -> String {
+        self.failed = Some(message.clone());
+        message
+    }
+
+    /// The per-batch divergence check: the policy's own cache must equal
+    /// the mirror, which catches a policy that changes its cache without
+    /// reporting it. O(n/64).
+    fn check_mirror(&self) -> Result<(), String> {
+        if self.driver.mirror == *self.policy.cache() {
+            return Ok(());
+        }
+        Err(format!("after {} rounds: policy cache diverged from mirror", self.round))
+    }
+
     /// Drives `reqs` through this shard in order, folding cost accounting
-    /// into the report once per chunk (`audit_chunk`, or the whole slice).
+    /// into the report once per chunk (`audit_chunk`, or the whole slice)
+    /// and checking the mirror at each chunk's end. A violation — or an
+    /// earlier one — poisons the shard and is returned.
     pub(crate) fn drain(&mut self, reqs: &[Request], cfg: &EngineConfig) -> Result<(), String> {
-        let sim = cfg.sim();
+        if let Some(message) = &self.failed {
+            return Err(message.clone());
+        }
+        self.drain_chunks(reqs, cfg).map_err(|message| self.poison(message))
+    }
+
+    fn drain_chunks(&mut self, reqs: &[Request], cfg: &EngineConfig) -> Result<(), String> {
         let n = self.tree.get().len();
         let chunk_size = cfg.audit_chunk.unwrap_or(usize::MAX);
         for chunk in reqs.chunks(chunk_size) {
@@ -360,7 +345,7 @@ impl ShardState<'_> {
                     &mut *self.policy,
                     req,
                     self.round,
-                    sim,
+                    cfg,
                     &mut self.report,
                 )?;
                 service += u64::from(paid);
@@ -369,7 +354,8 @@ impl ShardState<'_> {
                 self.window_tick(cfg);
             }
             self.report.cost.service += service;
-            self.report.cost.reorg += sim.alpha * touched;
+            self.report.cost.reorg += cfg.alpha * touched;
+            self.check_mirror()?;
             if cfg.audit_chunk.is_some() {
                 #[cfg(debug_assertions)]
                 self.policy.audit().map_err(|e| {
@@ -400,12 +386,13 @@ pub struct ShardHandle<'a, 'p> {
 
 impl ShardHandle<'_, '_> {
     /// Drives one shard-local request through the shard's verified driver
-    /// and folds its cost into the shard report.
+    /// and folds its cost into the shard report. The per-batch divergence
+    /// check runs when the batch of steps ends (after the
+    /// [`ShardedEngine::map_shards`] closure returns), not per step.
     ///
     /// # Errors
     /// The simulator's classic protocol violations.
     pub fn step(&mut self, req: Request) -> Result<SubmitOutcome, String> {
-        let sim = self.cfg.sim();
         let st = &mut *self.state;
         if let Some(message) = &st.failed {
             return Err(message.clone());
@@ -417,23 +404,33 @@ impl ShardHandle<'_, '_> {
                 req.node,
                 st.tree.get().len()
             );
-            st.failed = Some(message.clone());
-            return Err(message);
+            return Err(st.poison(message));
         }
-        let round =
-            st.driver.round(st.tree.get(), &mut *st.policy, req, st.round, sim, &mut st.report);
-        let (paid, touched) = match round {
-            Ok(out) => out,
-            Err(message) => {
-                st.failed = Some(message.clone());
-                return Err(message);
-            }
-        };
+        let round = st.driver.round(
+            st.tree.get(),
+            &mut *st.policy,
+            req,
+            st.round,
+            &self.cfg,
+            &mut st.report,
+        );
+        let (paid, touched) = round.map_err(|message| st.poison(message))?;
         st.round += 1;
         st.report.cost.service += u64::from(paid);
-        st.report.cost.reorg += sim.alpha * touched;
+        st.report.cost.reorg += self.cfg.alpha * touched;
         st.window_tick(&self.cfg);
         Ok(SubmitOutcome { shard: self.shard, paid, nodes_touched: touched })
+    }
+
+    /// Ends a batch of [`ShardHandle::step`]s with the divergence check
+    /// (policy cache ≡ mirror); a mismatch poisons the shard. Returns the
+    /// shard's sticky violation if it already has one.
+    pub(crate) fn end_batch(&mut self) -> Result<(), String> {
+        let st = &mut *self.state;
+        if let Some(message) = &st.failed {
+            return Err(message.clone());
+        }
+        st.check_mirror().map_err(|message| st.poison(message))
     }
 
     /// This shard's id.
@@ -518,29 +515,14 @@ impl<'p> ShardedEngine<'p> {
                 Self::shard_state(TreeRef::Owned(tree), policy, &cfg)
             })
             .collect();
-        let identity_routing = forest.is_identity_routing();
-        Self {
-            forest: Some(forest),
-            shards,
-            cfg,
-            failed: None,
-            identity_routing,
-            batch_marks: Vec::new(),
-        }
+        Self::assemble(Some(forest), shards, cfg)
     }
 
     /// A single-shard engine over an owned tree and policy.
     #[must_use]
     pub fn single(tree: Arc<Tree>, policy: Box<dyn CachePolicy + 'p>, cfg: EngineConfig) -> Self {
         let state = Self::shard_state(TreeRef::Owned(Arc::clone(&tree)), policy, &cfg);
-        Self {
-            forest: Some(Forest::single(tree)),
-            shards: vec![state],
-            cfg,
-            failed: None,
-            identity_routing: true,
-            batch_marks: Vec::new(),
-        }
+        Self::assemble(Some(Forest::single(tree)), vec![state], cfg)
     }
 
     /// A single-shard engine borrowing the caller's tree and policy — the
@@ -553,14 +535,13 @@ impl<'p> ShardedEngine<'p> {
         cfg: EngineConfig,
     ) -> Self {
         let state = Self::shard_state(TreeRef::Borrowed(tree), Box::new(policy), &cfg);
-        Self {
-            forest: None,
-            shards: vec![state],
-            cfg,
-            failed: None,
-            identity_routing: true,
-            batch_marks: Vec::new(),
-        }
+        Self::assemble(None, vec![state], cfg)
+    }
+
+    /// The engine over `shards`, routed by `forest` (`None`: identity).
+    fn assemble(forest: Option<Forest>, shards: Vec<ShardState<'p>>, cfg: EngineConfig) -> Self {
+        let identity_routing = forest.as_ref().is_none_or(Forest::is_identity_routing);
+        Self { forest, shards, cfg, failed: None, identity_routing, batch_marks: Vec::new() }
     }
 
     pub(crate) fn shard_state(
@@ -570,11 +551,12 @@ impl<'p> ShardedEngine<'p> {
     ) -> ShardState<'p> {
         let n = tree.get().len();
         let report = Report { name: policy.name().to_string(), ..Report::default() };
-        let mut driver = Driver::new(n, cfg.sim());
+        let mut driver = Driver::new(n, cfg.alpha);
         // Resumable drives: a borrowed policy may already hold cache
         // content from an earlier run; the mirror starts from its real
-        // state (empty for freshly built policies).
-        driver.adopt_cache(policy.cache());
+        // state (empty for freshly built policies). A cache the driver
+        // refuses poisons the shard: its first drive returns the refusal.
+        let failed = driver.adopt_cache(tree.get(), policy.cache(), policy.capacity()).err();
         ShardState {
             tree,
             policy,
@@ -582,7 +564,7 @@ impl<'p> ShardedEngine<'p> {
             report,
             queue: Vec::new(),
             round: 0,
-            failed: None,
+            failed,
             windows: Vec::new(),
             win_base: WindowBase::default(),
         }
@@ -607,15 +589,6 @@ impl<'p> ShardedEngine<'p> {
         self.forest.as_ref()
     }
 
-    /// Read-only view of one shard policy's cache (shard-local ids).
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    #[must_use]
-    pub fn shard_cache(&self, shard: ShardId) -> &CacheSet {
-        self.shards[shard.index()].policy.cache()
-    }
-
     fn check_live(&self) -> Result<(), EngineError> {
         match &self.failed {
             Some(e) => Err(e.clone()),
@@ -627,6 +600,22 @@ impl<'p> ShardedEngine<'p> {
         let e = EngineError { shard: Some(shard), message };
         self.failed = Some(e.clone());
         e
+    }
+
+    /// Promotes the first shard violation (by shard index) to the
+    /// engine-level failure unless the engine already has one, then
+    /// returns the engine's failure, if any. Shards record violations
+    /// that no engine call returned: inside discarded
+    /// [`ShardedEngine::map_shards`] results, or at construction.
+    fn sweep_failures(&mut self) -> Result<(), EngineError> {
+        if self.failed.is_none() {
+            let first =
+                self.shards.iter().enumerate().find_map(|(s, st)| Some((s, st.failed.clone()?)));
+            if let Some((s, message)) = first {
+                self.fail(ShardId(s as u32), message);
+            }
+        }
+        self.check_live()
     }
 
     /// Routes a globally-addressed request. O(1); errors on ids outside
@@ -666,7 +655,7 @@ impl<'p> ShardedEngine<'p> {
         let (s, local) = self.route(req)?;
         let sid = ShardId(s as u32);
         let mut handle = ShardHandle { state: &mut self.shards[s], shard: sid, cfg: self.cfg };
-        match handle.step(local) {
+        match handle.step(local).and_then(|out| handle.end_batch().map(|()| out)) {
             Ok(out) => Ok(out),
             Err(message) => Err(self.fail(sid, message)),
         }
@@ -947,8 +936,9 @@ impl<'p> ShardedEngine<'p> {
     }
 
     /// Runs `f` once per shard — in parallel on `cfg.threads` workers —
-    /// with step-level access through a [`ShardHandle`]. Returns the
-    /// per-shard results in shard order.
+    /// with step-level access through a [`ShardHandle`], then checks each
+    /// shard's policy cache against its mirror. Returns the per-shard
+    /// results in shard order.
     ///
     /// This is the extension point for application pipelines whose event
     /// semantics need more than a flat request stream (cache probes,
@@ -966,23 +956,14 @@ impl<'p> ShardedEngine<'p> {
         let cfg = self.cfg;
         let results = otc_util::parallel_map_mut(&mut self.shards, cfg.threads, |i, st| {
             let mut handle = ShardHandle { state: st, shard: ShardId(i as u32), cfg };
-            f(&mut handle)
+            let out = f(&mut handle);
+            // Recorded on the shard; surfaced by the sweep below.
+            let _ = handle.end_batch();
+            out
         });
         // A violation inside a shard loop poisons the engine even if the
-        // closure discarded the error: [`ShardHandle::step`] records it on
-        // the shard, and the sweep below promotes the first one (by shard
-        // index) to the engine-level failure.
-        if self.failed.is_none() {
-            for (s, st) in self.shards.iter().enumerate() {
-                if let Some(message) = &st.failed {
-                    self.failed = Some(EngineError {
-                        shard: Some(ShardId(s as u32)),
-                        message: message.clone(),
-                    });
-                    break;
-                }
-            }
-        }
+        // closure discarded the error.
+        let _ = self.sweep_failures();
         results
     }
 
@@ -996,19 +977,19 @@ impl<'p> ShardedEngine<'p> {
     /// violation surfaced while draining staged requests.
     pub fn into_reports(mut self) -> Result<Vec<Report>, EngineError> {
         self.flush_pending()?;
-        if let Some(e) = self.failed {
-            return Err(e);
-        }
-        let sim = self.cfg.sim();
-        Ok(self
-            .shards
+        self.sweep_failures()?;
+        let cfg = self.cfg;
+        self.shards
             .into_iter()
-            .map(|st| {
+            .enumerate()
+            .map(|(s, st)| {
                 let mut report = st.report;
-                st.driver.finish(sim, &mut report);
-                report
+                st.driver
+                    .finish(st.tree.get(), &cfg, &mut report)
+                    .map_err(|message| EngineError { shard: Some(ShardId(s as u32)), message })?;
+                Ok(report)
             })
-            .collect())
+            .collect()
     }
 
     /// Finishes every shard and aggregates the per-shard reports into one
@@ -1165,15 +1146,10 @@ impl ShardedEngine<'static> {
         mut self,
     ) -> Result<(crate::worker::ShardRouter, Vec<crate::worker::ShardWorker>), EngineError> {
         self.flush_pending()?;
-        if let Some(e) = self.failed {
-            return Err(e);
-        }
+        self.sweep_failures()?;
         let shard_sizes: Vec<u32> =
             self.shards.iter().map(|st| st.tree.get().len() as u32).collect();
-        let global_len = match &self.forest {
-            Some(f) => f.global_len(),
-            None => self.shards[0].tree.get().len(),
-        };
+        let global_len = self.global_len();
         let router = crate::worker::ShardRouter::new(self.forest, shard_sizes, global_len);
         let cfg = self.cfg;
         let workers = self
@@ -1243,10 +1219,11 @@ pub fn aggregate_reports(reports: Vec<Report>) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::tests::{mixed, Scripted};
+    use otc_core::policy::ActionKind;
     use otc_core::tc::{TcConfig, TcFast};
     use otc_core::tree::NodeId;
     use otc_core::Request;
-    use otc_util::SplitMix64;
 
     fn tc_factory(
         alpha: u64,
@@ -1255,26 +1232,12 @@ mod tests {
         move |tree, _| Box::new(TcFast::new(tree, TcConfig::new(alpha, capacity)))
     }
 
-    fn mixed_requests(n: usize, len: usize, seed: u64) -> Vec<Request> {
-        let mut rng = SplitMix64::new(seed);
-        (0..len)
-            .map(|_| {
-                let v = NodeId(rng.index(n) as u32);
-                if rng.chance(0.4) {
-                    Request::neg(v)
-                } else {
-                    Request::pos(v)
-                }
-            })
-            .collect()
-    }
-
     #[test]
     fn single_shard_engine_matches_run_policy() {
         let tree = Arc::new(Tree::kary(2, 4));
-        let reqs = mixed_requests(tree.len(), 4000, 7);
+        let reqs = mixed(tree.len(), 4000, 7);
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(3, 6));
-        let base = crate::run_policy(&tree, &mut tc, &reqs, SimConfig::new(3)).expect("valid");
+        let base = crate::run_policy(&tree, &mut tc, &reqs, EngineConfig::new(3)).expect("valid");
 
         let factory = tc_factory(3, 6);
         let mut engine =
@@ -1287,7 +1250,7 @@ mod tests {
     #[test]
     fn batch_order_is_preserved_per_shard_regardless_of_threads() {
         let tree = Tree::star(16);
-        let reqs = mixed_requests(tree.len(), 6000, 11);
+        let reqs = mixed(tree.len(), 6000, 11);
         let mut reports = Vec::new();
         for threads in [1usize, 4] {
             let factory = tc_factory(2, 3);
@@ -1309,7 +1272,7 @@ mod tests {
         let trees: Vec<Arc<Tree>> =
             vec![Arc::new(Tree::kary(2, 3)), Arc::new(Tree::path(5)), Arc::new(Tree::star(6))];
         let forest = Forest::from_trees(trees.clone());
-        let reqs = mixed_requests(forest.global_len(), 5000, 13);
+        let reqs = mixed(forest.global_len(), 5000, 13);
 
         let factory = tc_factory(2, 4);
         let mut engine = ShardedEngine::new(forest.clone(), &factory, EngineConfig::new(2));
@@ -1325,7 +1288,8 @@ mod tests {
                 })
                 .collect();
             let mut tc = TcFast::new(Arc::clone(tree), TcConfig::new(2, 4));
-            let solo = crate::run_policy(tree, &mut tc, &local, SimConfig::new(2)).expect("valid");
+            let solo =
+                crate::run_policy(tree, &mut tc, &local, EngineConfig::new(2)).expect("valid");
             assert_eq!(per_shard[s], solo, "shard {s} must equal its independent run");
         }
     }
@@ -1333,7 +1297,7 @@ mod tests {
     #[test]
     fn submit_single_matches_batch() {
         let tree = Tree::star(8);
-        let reqs = mixed_requests(tree.len(), 1000, 17);
+        let reqs = mixed(tree.len(), 1000, 17);
         let factory = tc_factory(2, 2);
         let mut a = ShardedEngine::new(Forest::partition(&tree, 3), &factory, EngineConfig::new(2));
         for &r in &reqs {
@@ -1356,27 +1320,10 @@ mod tests {
 
     #[test]
     fn violation_poisons_the_engine() {
-        struct Liar {
-            cache: CacheSet,
-        }
-        impl CachePolicy for Liar {
-            fn name(&self) -> &'static str {
-                "liar"
-            }
-            fn capacity(&self) -> usize {
-                4
-            }
-            fn cache(&self) -> &CacheSet {
-                &self.cache
-            }
-            fn reset(&mut self) {}
-            fn step(&mut self, _req: Request, out: &mut otc_core::policy::ActionBuffer) {
-                out.clear();
-            }
-        }
         let tree = Tree::star(2);
         let factory = |tree: Arc<Tree>, _| {
-            Box::new(Liar { cache: CacheSet::empty(tree.len()) }) as Box<dyn CachePolicy>
+            Box::new(Scripted { lies: true, ..Scripted::new(tree.len(), &[], &[]) })
+                as Box<dyn CachePolicy>
         };
         let mut engine =
             ShardedEngine::new(Forest::single(Arc::new(tree)), &factory, EngineConfig::new(2));
@@ -1386,6 +1333,33 @@ mod tests {
         // Poisoned: everything keeps returning the stored violation.
         assert_eq!(engine.submit(Request::pos(NodeId(1))).unwrap_err(), err);
         assert_eq!(engine.into_report().unwrap_err(), err);
+    }
+
+    #[test]
+    fn divergence_is_caught_at_every_batch_end() {
+        let factory = |tree: Arc<Tree>, _| {
+            // Claims to fetch leaf 1 without caching it.
+            let script: &[(ActionKind, &[u32])] = &[(ActionKind::Fetch, &[1])];
+            Box::new(Scripted { silent: true, ..Scripted::new(tree.len(), &[], script) })
+                as Box<dyn CachePolicy>
+        };
+        let engine = || {
+            ShardedEngine::new(
+                Forest::single(Arc::new(Tree::star(2))),
+                &factory,
+                EngineConfig::new(2),
+            )
+        };
+        let req = Request::pos(NodeId(1));
+        let err = engine().submit(req).unwrap_err();
+        assert!(err.message.contains("diverged"), "submit: {err}");
+        let mut mapped = engine();
+        mapped.map_shards(|handle| handle.step(req).is_ok());
+        let err = mapped.into_report().unwrap_err();
+        assert!(err.message.contains("diverged"), "map_shards: {err}");
+        let (_, mut workers) = engine().into_workers().expect("detaches");
+        let err = workers[0].step(req).unwrap_err();
+        assert!(err.contains("diverged"), "worker step: {err}");
     }
 
     #[test]
@@ -1399,7 +1373,7 @@ mod tests {
         let tree = Tree::from_parents(&[None, Some(0), Some(0), Some(1)]);
         let forest = Forest::partition(&tree, 1);
         assert!(!forest.is_identity_routing());
-        let reqs = mixed_requests(tree.len(), 600, 23);
+        let reqs = mixed(tree.len(), 600, 23);
         let factory = tc_factory(2, 2);
         let mut batched = ShardedEngine::new(forest.clone(), &factory, EngineConfig::new(2));
         batched.submit_batch(&reqs).expect("valid");
@@ -1413,8 +1387,9 @@ mod tests {
         // pre-routed requests.
         let local: Vec<Request> = reqs.iter().map(|&r| forest.route_request(r).1).collect();
         let mut tc = TcFast::new(Arc::clone(forest.tree(ShardId(0))), TcConfig::new(2, 2));
-        let solo = crate::run_policy(forest.tree(ShardId(0)), &mut tc, &local, SimConfig::new(2))
-            .expect("valid");
+        let solo =
+            crate::run_policy(forest.tree(ShardId(0)), &mut tc, &local, EngineConfig::new(2))
+                .expect("valid");
         assert_eq!(batched, solo);
     }
 
@@ -1442,26 +1417,9 @@ mod tests {
 
     #[test]
     fn map_shards_violation_poisons_even_if_discarded() {
-        struct Liar {
-            cache: CacheSet,
-        }
-        impl CachePolicy for Liar {
-            fn name(&self) -> &'static str {
-                "liar"
-            }
-            fn capacity(&self) -> usize {
-                4
-            }
-            fn cache(&self) -> &CacheSet {
-                &self.cache
-            }
-            fn reset(&mut self) {}
-            fn step(&mut self, _req: Request, out: &mut otc_core::policy::ActionBuffer) {
-                out.clear();
-            }
-        }
         let factory = |tree: Arc<Tree>, _| {
-            Box::new(Liar { cache: CacheSet::empty(tree.len()) }) as Box<dyn CachePolicy>
+            Box::new(Scripted { lies: true, ..Scripted::new(tree.len(), &[], &[]) })
+                as Box<dyn CachePolicy>
         };
         let mut engine = ShardedEngine::new(
             Forest::single(Arc::new(Tree::star(2))),
@@ -1479,7 +1437,7 @@ mod tests {
     #[test]
     fn stage_then_flush_pending_matches_submit_batch() {
         let tree = Tree::star(12);
-        let reqs = mixed_requests(tree.len(), 3000, 29);
+        let reqs = mixed(tree.len(), 3000, 29);
         let factory = tc_factory(2, 3);
 
         let mut batched = ShardedEngine::new(

@@ -3,7 +3,11 @@
 //! Drives any [`otc_core::policy::CachePolicy`] through a request sequence
 //! while *independently* checking every move: the simulator mirrors the
 //! cache, validates changesets against the problem definition, enforces
-//! the capacity, and does all cost accounting itself.
+//! the capacity, and does all cost accounting itself. There is one
+//! verification mode. Each changeset is checked in O(|set|), so the
+//! mirror stays a subforest by induction from a checked start (Section 3,
+//! Lemma 5.1); the whole tree is walked only when a cache is adopted and
+//! when a run finishes.
 //!
 //! It also materialises the analysis-side objects of the paper's Section 5
 //! as runtime instrumentation:
@@ -62,7 +66,11 @@ pub use engine::{
 };
 pub use rebalance::{plan, replay_trace_rebalancing, RebalanceConfig, RebalanceReplay, Rebalancer};
 pub use report::{FieldStats, PeriodStats, PhaseStats, Report};
-pub use runner::{run_policy, run_stream, SimConfig};
+pub use runner::{run_policy, run_stream};
+
+/// The engine configuration under its old simulator name. It exists only
+/// because the `benchmark/` package still names it; use [`EngineConfig`].
+pub type SimConfig = EngineConfig;
 pub use snapshot::{
     parse_shard_section, EngineSnapshot, LogPosition, RecoverStats, ShardSection, SnapshotError,
     SnapshotMeta,

@@ -3,9 +3,11 @@
 //! instrumentation.
 //!
 //! The simulator is adversarial towards the policy: it mirrors the cache
-//! itself, recomputes whether each round pays, and validates every action
+//! itself, recomputes whether each round pays, and checks every action
 //! against the problem definition (Section 3) — a buggy policy cannot
-//! misreport its own cost or smuggle an invalid changeset through.
+//! misreport its own cost or smuggle an invalid changeset through. Every
+//! configuration runs the same checks; `Driver` documents what each one
+//! costs and why together they keep the mirror a subforest.
 //!
 //! The round logic lives in one place — the per-shard `Driver` — and is
 //! executed through the sharded engine ([`crate::engine`]). The classic
@@ -15,9 +17,7 @@
 //! * [`run_stream`] — the batched entry point for long request streams:
 //!   cost accounting is accumulated in registers and folded into the report
 //!   once per chunk, and in debug builds every chunk boundary re-audits the
-//!   policy's internal aggregates ([`otc_core::policy::CachePolicy::audit`])
-//!   — so even `SimConfig::bare` benchmark configurations cannot silently
-//!   drift from the reference behaviour.
+//!   policy's internal aggregates ([`otc_core::policy::CachePolicy::audit`]).
 //!
 //! Every shard reuses one [`ActionBuffer`] plus validation scratch across
 //! all rounds: a steady-state round performs no heap allocation
@@ -30,33 +30,8 @@ use otc_core::policy::{request_pays, ActionBuffer, ActionKind, CachePolicy};
 use otc_core::request::Request;
 use otc_core::tree::{NodeId, Tree};
 
+use crate::engine::EngineConfig;
 use crate::report::{FieldStats, PeriodStats, PhaseStats, Report};
-
-/// Simulation options.
-#[derive(Debug, Clone, Copy)]
-pub struct SimConfig {
-    /// The per-node reorganisation cost α.
-    pub alpha: u64,
-    /// Verify subforest/validity/capacity invariants after every action.
-    pub validate: bool,
-    /// Track fields, periods and phases (small constant overhead).
-    pub instrument: bool,
-}
-
-impl SimConfig {
-    /// Standard configuration: full validation and instrumentation.
-    #[must_use]
-    pub fn new(alpha: u64) -> Self {
-        Self { alpha, validate: true, instrument: true }
-    }
-
-    /// Fast configuration for throughput benchmarks: no checking, no
-    /// instrumentation.
-    #[must_use]
-    pub fn bare(alpha: u64) -> Self {
-        Self { alpha, validate: false, instrument: false }
-    }
-}
 
 /// Closes the field belonging to an applied changeset and reports
 /// `(paying requests inside, nodes with a "full" period)`.
@@ -78,6 +53,33 @@ fn close_field(pending: &mut [u64], set: &[NodeId], half_alpha: u64) -> (u64, u6
 /// round loop so every round reuses the same storage. One `Driver` exists
 /// per engine shard (`crate::engine`); the classic drivers below are
 /// single-shard adapters.
+///
+/// # Why checking each changeset is enough
+///
+/// Section 3 allows two kinds of move on a cache `C` that is a subforest
+/// (downward closed): a valid positive changeset `X` (`X ∩ C = ∅` and
+/// `C ∪ X` a subforest) and a valid negative one (`X ⊆ C` and `C \ X` a
+/// subforest); a flush empties the cache. `is_valid_positive_with` and
+/// `is_valid_negative_with` decide exactly these definitions in
+/// O(|X|), given that `C` is a subforest. So if the mirror is a subforest
+/// before an accepted action, it is one after it, and by induction over
+/// actions it stays one from a valid start. Lemma 5.1 says every
+/// changeset TC applies is such a set (a tree cap), so the checks never
+/// refuse a correct TC. The checks, priced by how often they run:
+///
+/// * **per action**, O(|X|): the changeset definitions above, the flush
+///   payload (exactly the mirror's contents), and, after each fetch, the
+///   capacity (O(1));
+/// * **per round**, O(1): the paid flag against the mirror;
+/// * **per batch**, O(n/64): `mirror == policy.cache()`, which catches a
+///   policy that changes its cache without reporting it (the engine runs
+///   it at the end of each drain chunk, after each `map_shards` closure
+///   and after each single submit);
+/// * **on adoption**, O(n): [`Driver::adopt_cache`] checks the base case
+///   of the induction — the subforest walk and the capacity — whenever the
+///   mirror is replaced wholesale (construction, snapshot restore,
+///   migration install);
+/// * **at finish**, O(n): the subforest walk once more, as a last guard.
 pub(crate) struct Driver {
     pub(crate) mirror: CacheSet,
     /// Paying requests per node since its last state change (its slice of
@@ -102,13 +104,13 @@ pub(crate) struct Driver {
 }
 
 impl Driver {
-    pub(crate) fn new(n: usize, cfg: SimConfig) -> Self {
+    pub(crate) fn new(n: usize, alpha: u64) -> Self {
         Self {
             mirror: CacheSet::empty(n),
             pending: vec![0u64; n],
             fields: FieldStats::default(),
             periods: PeriodStats::default(),
-            half_alpha: cfg.alpha.div_ceil(2),
+            half_alpha: alpha.div_ceil(2),
             phase: PhaseStats::default(),
             phase_pout: 0,
             phase_pin: 0,
@@ -136,21 +138,39 @@ impl Driver {
         std::mem::take(&mut self.buf_high_water)
     }
 
-    /// Adopts `cache` as the mirror's starting state. The engine calls
-    /// this at construction with the policy's current cache, so a policy
-    /// that already holds content (e.g. one resumed across several
-    /// `run_fib` calls) verifies against its real state instead of a
-    /// spurious empty mirror.
-    pub(crate) fn adopt_cache(&mut self, cache: &CacheSet) {
+    /// Adopts `cache` as the mirror's starting state — the base case of
+    /// the induction in the type docs, so it is the one place besides
+    /// [`Driver::finish`] that walks the whole tree. The engine calls this
+    /// at construction with the policy's current cache (so a policy that
+    /// already holds content, e.g. one resumed across several `run_fib`
+    /// calls, verifies against its real state), and on every snapshot
+    /// restore or migration install.
+    ///
+    /// # Errors
+    /// A cache that is not a subforest of `tree` or holds more than
+    /// `capacity` nodes; the mirror is left unchanged.
+    pub(crate) fn adopt_cache(
+        &mut self,
+        tree: &Tree,
+        cache: &CacheSet,
+        capacity: usize,
+    ) -> Result<(), String> {
+        cache.validate(tree).map_err(|e| format!("refusing to adopt the cache: {e}"))?;
+        if cache.len() > capacity {
+            return Err(format!(
+                "refusing to adopt the cache: it holds {} nodes but the capacity is {capacity}",
+                cache.len()
+            ));
+        }
         self.mirror = cache.clone();
+        Ok(())
     }
 
     /// Verifies that `set` is exactly the mirror's contents, without
     /// cloning the mirror or sorting the payload: every payload node must
     /// be cached and distinct, and the distinct count must equal the
-    /// mirror's size. O(|set|) and allocation-free — cheap enough to run
-    /// unconditionally (even in bare mode), preserving the guarantee that
-    /// a policy can never misreport a flush.
+    /// mirror's size. O(|set|) and allocation-free, preserving the
+    /// guarantee that a policy can never misreport a flush.
     fn check_flush_payload(&mut self, set: &[NodeId], round: usize) -> Result<(), String> {
         self.scratch.reset(self.pending.len());
         for &v in set {
@@ -180,7 +200,7 @@ impl Driver {
         policy: &mut dyn CachePolicy,
         req: Request,
         round: usize,
-        cfg: SimConfig,
+        cfg: &EngineConfig,
         report: &mut Report,
     ) -> Result<(bool, u64), String> {
         let expected_pays = request_pays(&self.mirror, req);
@@ -200,45 +220,30 @@ impl Driver {
             self.pending[req.node.index()] += 1;
         }
 
-        let mut touched_total = 0u64;
         // Detach the buffer so its spans can be read while `self`'s other
         // fields are mutated; restored below (the swapped-in default is
         // only live across error returns, which abort the run anyway).
         let buf = std::mem::take(&mut self.buf);
-        let result = self.apply_actions(tree, &buf, round, cfg, report, &mut touched_total);
+        let result = self.apply_actions(tree, &*policy, &buf, round, cfg, report);
         self.buf_high_water = self.buf_high_water.max(buf.nodes_touched());
         self.buf = buf;
-        result?;
-
-        if cfg.validate {
-            self.mirror
-                .validate(tree)
-                .map_err(|e| format!("round {round}: mirror invalid after actions: {e}"))?;
-            if self.mirror.len() > policy.capacity() {
-                return Err(format!(
-                    "round {round}: capacity exceeded: {} > {}",
-                    self.mirror.len(),
-                    policy.capacity()
-                ));
-            }
-            if self.mirror != *policy.cache() {
-                return Err(format!("round {round}: policy cache diverged from mirror"));
-            }
-        }
+        let touched_total = result?;
         report.peak_cache = report.peak_cache.max(self.mirror.len());
         Ok((expected_pays, touched_total))
     }
 
-    /// Applies, verifies and instruments every action recorded in `buf`.
+    /// Applies, verifies and instruments every action recorded in `buf`,
+    /// and returns the number of nodes the actions touched.
     fn apply_actions(
         &mut self,
         tree: &Tree,
+        policy: &dyn CachePolicy,
         buf: &ActionBuffer,
         round: usize,
-        cfg: SimConfig,
+        cfg: &EngineConfig,
         report: &mut Report,
-        touched_total: &mut u64,
-    ) -> Result<(), String> {
+    ) -> Result<u64, String> {
+        let mut touched_total = 0u64;
         for i in 0..buf.num_actions() {
             let (kind, set) = buf.action(i);
             // Reorganisation cost is charged to the phase the action ends
@@ -246,16 +251,21 @@ impl Driver {
             // `kP·α` final-eviction term), so account it before any phase
             // hand-over below.
             let touched = set.len() as u64;
-            *touched_total += touched;
+            touched_total += touched;
             self.phase.cost.reorg += cfg.alpha * touched;
             match kind {
                 ActionKind::Fetch => {
-                    if cfg.validate
-                        && !is_valid_positive_with(tree, &self.mirror, set, &mut self.scratch)
-                    {
+                    if !is_valid_positive_with(tree, &self.mirror, set, &mut self.scratch) {
                         return Err(format!("round {round}: invalid positive changeset {set:?}"));
                     }
                     self.mirror.fetch(set);
+                    if self.mirror.len() > policy.capacity() {
+                        return Err(format!(
+                            "round {round}: capacity exceeded: {} > {}",
+                            self.mirror.len(),
+                            policy.capacity()
+                        ));
+                    }
                     report.fetch_events += 1;
                     report.nodes_fetched += touched;
                     if cfg.instrument {
@@ -276,9 +286,7 @@ impl Driver {
                     }
                 }
                 ActionKind::Evict => {
-                    if cfg.validate
-                        && !is_valid_negative_with(tree, &self.mirror, set, &mut self.scratch)
-                    {
+                    if !is_valid_negative_with(tree, &self.mirror, set, &mut self.scratch) {
                         return Err(format!("round {round}: invalid negative changeset {set:?}"));
                     }
                     self.mirror.evict(set);
@@ -304,9 +312,7 @@ impl Driver {
                 ActionKind::Flush => {
                     // A zero-payload flush (empty-cache phase restart) is
                     // legal: it costs 0 reorganisation — `touched` is 0 —
-                    // while still closing the phase below. The payload
-                    // check runs in every mode (as it always has): it is
-                    // O(|set|), allocation-free, and flushes are rare.
+                    // while still closing the phase below.
                     self.check_flush_payload(set, round)?;
                     report.flush_events += 1;
                     report.nodes_evicted += touched;
@@ -332,7 +338,7 @@ impl Driver {
                 }
             }
         }
-        Ok(())
+        Ok(touched_total)
     }
 
     /// Closes the unfinished phase and copies instrumentation into the
@@ -342,7 +348,7 @@ impl Driver {
     /// ended now" at any moment and keep driving afterwards. Cost is one
     /// clone of the instrumentation aggregates (zero when `instrument` is
     /// off), paid per snapshot, never per round.
-    pub(crate) fn finish_into(&self, cfg: SimConfig, report: &mut Report) {
+    pub(crate) fn finish_into(&self, cfg: &EngineConfig, report: &mut Report) {
         if cfg.instrument {
             // Close the unfinished phase and account the open field F∞.
             let mut phase = self.phase.clone();
@@ -360,9 +366,20 @@ impl Driver {
     }
 
     /// Closes the unfinished phase and moves instrumentation into the
-    /// report (the consuming end-of-run form of [`Driver::finish_into`]).
-    pub(crate) fn finish(self, cfg: SimConfig, report: &mut Report) {
+    /// report (the consuming end-of-run form of [`Driver::finish_into`]),
+    /// after walking the mirror once more as the run's last guard.
+    ///
+    /// # Errors
+    /// A mirror that is no longer a subforest of `tree`.
+    pub(crate) fn finish(
+        self,
+        tree: &Tree,
+        cfg: &EngineConfig,
+        report: &mut Report,
+    ) -> Result<(), String> {
+        self.mirror.validate(tree).map_err(|e| format!("mirror invalid at finish: {e}"))?;
         self.finish_into(cfg, report);
+        Ok(())
     }
 }
 
@@ -371,13 +388,13 @@ impl Driver {
 /// ```
 /// use std::sync::Arc;
 /// use otc_core::{Request, Tree, TcConfig, TcFast};
-/// use otc_sim::{run_policy, SimConfig};
+/// use otc_sim::{run_policy, EngineConfig};
 ///
 /// let tree = Arc::new(Tree::star(3));
 /// let leaf = tree.leaves()[0];
 /// let reqs = vec![Request::pos(leaf); 5];
 /// let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(2, 2));
-/// let report = run_policy(&tree, &mut tc, &reqs, SimConfig::new(2)).unwrap();
+/// let report = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(2)).unwrap();
 /// // Two misses, then the fetch (α = 2), then free hits.
 /// assert_eq!(report.cost.service, 2);
 /// assert_eq!(report.cost.reorg, 2);
@@ -386,16 +403,17 @@ impl Driver {
 /// # Errors
 /// Returns a description of the first protocol violation: wrong
 /// `paid_service` flag, invalid changeset, flush payload mismatch,
-/// capacity overflow, subforest violation, or mirror divergence.
+/// capacity overflow, an invalid starting cache, a subforest violation, or
+/// mirror divergence.
 pub fn run_policy(
     tree: &Tree,
     policy: &mut dyn CachePolicy,
     requests: &[Request],
-    cfg: SimConfig,
+    cfg: EngineConfig,
 ) -> Result<Report, String> {
     // A thin adapter: the single-shard case of the engine, borrowing the
     // caller's tree and policy (no copies, no routing table).
-    let mut engine = crate::engine::ShardedEngine::single_borrowed(tree, policy, cfg.into());
+    let mut engine = crate::engine::ShardedEngine::single_borrowed(tree, policy, cfg);
     engine.submit_batch(requests).map_err(|e| e.message)?;
     engine.into_report().map_err(|e| e.message)
 }
@@ -405,9 +423,8 @@ pub fn run_policy(
 /// registers and folded into the report once per `chunk_size` requests.
 ///
 /// In debug builds the policy's [`CachePolicy::audit`] self-check runs at
-/// every chunk boundary (and once at the end), so benchmark configurations
-/// that disable simulator validation (`SimConfig::bare`) still cannot
-/// drift from the reference behaviour unnoticed while testing.
+/// every chunk boundary, so a policy's internal aggregates cannot drift
+/// from the reference behaviour unnoticed while testing.
 ///
 /// # Errors
 /// Same protocol violations as [`run_policy`], plus any audit failure
@@ -419,18 +436,18 @@ pub fn run_stream(
     tree: &Tree,
     policy: &mut dyn CachePolicy,
     requests: &[Request],
-    cfg: SimConfig,
+    cfg: EngineConfig,
     chunk_size: usize,
 ) -> Result<Report, String> {
     // The engine's chunked/audited cadence on a single borrowed shard.
-    let engine_cfg = crate::engine::EngineConfig::from(cfg).audit_every(chunk_size);
+    let engine_cfg = cfg.audit_every(chunk_size);
     let mut engine = crate::engine::ShardedEngine::single_borrowed(tree, policy, engine_cfg);
     engine.submit_batch(requests).map_err(|e| e.message)?;
     engine.into_report().map_err(|e| e.message)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::sync::Arc;
 
     use super::*;
@@ -446,7 +463,7 @@ mod tests {
         let leaf = tree.leaves()[0];
         let reqs = vec![Request::pos(leaf), Request::pos(leaf), Request::pos(leaf)];
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(2, 2));
-        let report = run_policy(&tree, &mut tc, &reqs, SimConfig::new(2)).expect("valid run");
+        let report = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(2)).expect("valid run");
         assert_eq!(report.cost.service, 2, "two paying requests");
         assert_eq!(report.cost.reorg, 2, "one node fetched at α = 2");
         assert_eq!(report.fetch_events, 1);
@@ -462,19 +479,9 @@ mod tests {
     #[test]
     fn tc_fields_always_saturated() {
         let tree = Arc::new(Tree::kary(2, 4));
-        let mut rng = otc_util::SplitMix64::new(5);
-        let reqs: Vec<Request> = (0..4000)
-            .map(|_| {
-                let v = otc_core::tree::NodeId(rng.index(tree.len()) as u32);
-                if rng.chance(0.4) {
-                    Request::neg(v)
-                } else {
-                    Request::pos(v)
-                }
-            })
-            .collect();
+        let reqs = mixed(tree.len(), 4000, 5);
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(3, 6));
-        let report = run_policy(&tree, &mut tc, &reqs, SimConfig::new(3)).expect("valid");
+        let report = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(3)).expect("valid");
         let fields = report.fields.expect("instrumented");
         assert!(fields.positive_fields + fields.negative_fields > 0, "something happened");
         assert_eq!(fields.saturation_violations, 0, "Observation 5.2 holds for every field");
@@ -501,7 +508,7 @@ mod tests {
             })
             .collect();
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(2, 3));
-        let report = run_policy(&tree, &mut tc, &reqs, SimConfig::new(2)).expect("valid");
+        let report = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(2)).expect("valid");
         let periods = report.periods.expect("instrumented");
         for &(pout, pin, kp) in &periods.per_phase_balance {
             assert_eq!(pout, pin + kp as u64, "pout = pin + kP per phase");
@@ -519,18 +526,8 @@ mod tests {
         // The batched driver is semantics-preserving for every chunk size,
         // including ones that straddle flushes and the stream end.
         let tree = Arc::new(Tree::kary(2, 4));
-        let mut rng = otc_util::SplitMix64::new(17);
-        let reqs: Vec<Request> = (0..5000)
-            .map(|_| {
-                let v = otc_core::tree::NodeId(rng.index(tree.len()) as u32);
-                if rng.chance(0.4) {
-                    Request::neg(v)
-                } else {
-                    Request::pos(v)
-                }
-            })
-            .collect();
-        let cfg = SimConfig::new(3);
+        let reqs = mixed(tree.len(), 5000, 17);
+        let cfg = EngineConfig::new(3);
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(3, 6));
         let base = run_policy(&tree, &mut tc, &reqs, cfg).expect("valid");
         for chunk_size in [1usize, 7, 256, 5000, 100_000] {
@@ -561,7 +558,7 @@ mod tests {
             Request::pos(otc_core::tree::NodeId(0)), // flush of empty cache
         ];
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(1, 1));
-        let report = run_policy(&tree, &mut tc, &reqs, SimConfig::new(1)).expect("valid");
+        let report = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(1)).expect("valid");
         assert_eq!(report.flush_events, 2);
         // Reorg: fetch {1} (1) + flush {1} (1) + empty flush (0) = 2.
         assert_eq!(report.cost.reorg, 2, "zero-payload flush adds no reorganisation cost");
@@ -574,199 +571,196 @@ mod tests {
         assert!(!report.phases[2].finished);
         // Identical through the batched driver.
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(1, 1));
-        let stream = run_stream(&tree, &mut tc, &reqs, SimConfig::new(1), 2).expect("valid");
+        let stream = run_stream(&tree, &mut tc, &reqs, EngineConfig::new(1), 2).expect("valid");
         assert_eq!(stream.cost.reorg, 2);
         assert_eq!(stream.flush_events, 2);
         assert_eq!(stream.phases.len(), 3);
     }
 
-    /// A policy that lies about paying — the simulator must catch it.
-    struct Liar {
-        cache: CacheSet,
-    }
-    impl CachePolicy for Liar {
-        fn name(&self) -> &'static str {
-            "liar"
-        }
-        fn capacity(&self) -> usize {
-            4
-        }
-        fn cache(&self) -> &CacheSet {
-            &self.cache
-        }
-        fn reset(&mut self) {}
-        fn step(&mut self, _req: Request, out: &mut ActionBuffer) {
-            out.clear();
-        }
+    /// `len` requests to uniform nodes of an `n`-node tree, 40% negative.
+    pub(crate) fn mixed(n: usize, len: usize, seed: u64) -> Vec<Request> {
+        let mut rng = otc_util::SplitMix64::new(seed);
+        (0..len)
+            .map(|_| {
+                let v = NodeId(rng.index(n) as u32);
+                if rng.chance(0.4) {
+                    Request::neg(v)
+                } else {
+                    Request::pos(v)
+                }
+            })
+            .collect()
     }
 
-    #[test]
-    fn liar_is_caught() {
-        let tree = Tree::star(2);
-        let mut liar = Liar { cache: CacheSet::empty(tree.len()) };
-        let reqs = vec![Request::pos(tree.leaves()[0])];
-        let err = run_policy(&tree, &mut liar, &reqs, SimConfig::new(2)).unwrap_err();
-        assert!(err.contains("paid"), "unexpected error: {err}");
+    /// A test policy that plays `script`, one action per round (nothing
+    /// once it runs out), and keeps its own cache in step with it unless
+    /// `silent`. It reports the true paid flag unless `lies`, and its
+    /// snapshot blob is its raw cache bitmap, restored with no check of its
+    /// own — so the driver is all that stands between it and the engine.
+    pub(crate) struct Scripted {
+        pub(crate) cache: CacheSet,
+        pub(crate) n: usize,
+        pub(crate) capacity: usize,
+        /// Remaining actions, last round's first.
+        pub(crate) script: Vec<(ActionKind, Vec<NodeId>)>,
+        pub(crate) silent: bool,
+        pub(crate) lies: bool,
+        pub(crate) fails_audit: bool,
     }
 
-    /// A policy that emits an invalid fetch (internal node without its
-    /// children).
-    struct InvalidFetcher {
-        cache: CacheSet,
-        fired: bool,
-    }
-    impl CachePolicy for InvalidFetcher {
-        fn name(&self) -> &'static str {
-            "invalid-fetcher"
-        }
-        fn capacity(&self) -> usize {
-            8
-        }
-        fn cache(&self) -> &CacheSet {
-            &self.cache
-        }
-        fn reset(&mut self) {}
-        fn step(&mut self, req: Request, out: &mut ActionBuffer) {
-            out.clear();
-            if self.fired {
-                out.set_paid(true);
-                return;
-            }
-            self.fired = true;
-            // Fetch the root alone — invalid on any tree with children.
-            self.cache.insert(otc_core::tree::NodeId(0));
-            out.set_paid(req.is_positive());
-            out.begin(ActionKind::Fetch).push(otc_core::tree::NodeId(0));
-        }
-    }
-
-    #[test]
-    fn invalid_changeset_is_caught() {
-        let tree = Tree::star(3);
-        let mut p = InvalidFetcher { cache: CacheSet::empty(tree.len()), fired: false };
-        let reqs = vec![Request::pos(tree.leaves()[0])];
-        let err = run_policy(&tree, &mut p, &reqs, SimConfig::new(2)).unwrap_err();
-        assert!(err.contains("invalid positive changeset"), "unexpected error: {err}");
-    }
-
-    /// A policy whose internal cache silently diverges from its actions.
-    struct Divergent {
-        cache: CacheSet,
-        fired: bool,
-    }
-    impl CachePolicy for Divergent {
-        fn name(&self) -> &'static str {
-            "divergent"
-        }
-        fn capacity(&self) -> usize {
-            8
-        }
-        fn cache(&self) -> &CacheSet {
-            &self.cache
-        }
-        fn reset(&mut self) {}
-        fn step(&mut self, req: Request, out: &mut ActionBuffer) {
-            out.clear();
-            out.set_paid(req.is_positive());
-            if !self.fired {
-                self.fired = true;
-                // Claims to fetch a leaf but doesn't record it internally.
-                out.begin(ActionKind::Fetch).push(otc_core::tree::NodeId(1));
+    impl Scripted {
+        /// Capacity 8, starting from the cache `start` on an `n`-node tree.
+        pub(crate) fn new(n: usize, start: &[u32], script: &[(ActionKind, &[u32])]) -> Self {
+            let mut cache = CacheSet::empty(n);
+            start.iter().for_each(|&v| cache.insert(NodeId(v)));
+            let script =
+                script.iter().rev().map(|(k, set)| (*k, set.iter().map(|&v| NodeId(v)).collect()));
+            Self {
+                cache,
+                n,
+                capacity: 8,
+                script: script.collect(),
+                silent: false,
+                lies: false,
+                fails_audit: false,
             }
         }
     }
 
-    #[test]
-    fn divergent_cache_is_caught() {
-        let tree = Tree::star(3);
-        let mut p = Divergent { cache: CacheSet::empty(tree.len()), fired: false };
-        let reqs = vec![Request::pos(otc_core::tree::NodeId(1))];
-        let err = run_policy(&tree, &mut p, &reqs, SimConfig::new(2)).unwrap_err();
-        assert!(err.contains("diverged"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn bare_mode_skips_checks() {
-        // The divergent policy passes in bare mode (documented risk).
-        let tree = Tree::star(3);
-        let mut p = Divergent { cache: CacheSet::empty(tree.len()), fired: false };
-        let reqs = vec![Request::pos(otc_core::tree::NodeId(1))];
-        let report = run_policy(&tree, &mut p, &reqs, SimConfig::bare(2)).expect("no checks");
-        assert_eq!(report.cost.reorg, 2);
-    }
-
-    /// A policy that lies about the flush payload (claims the cache held a
-    /// node it never cached) — the in-place payload check must catch it.
-    struct FlushLiar {
-        cache: CacheSet,
-    }
-    impl CachePolicy for FlushLiar {
+    impl CachePolicy for Scripted {
         fn name(&self) -> &'static str {
-            "flush-liar"
+            "scripted"
         }
         fn capacity(&self) -> usize {
-            4
-        }
-        fn cache(&self) -> &CacheSet {
-            &self.cache
-        }
-        fn reset(&mut self) {}
-        fn step(&mut self, req: Request, out: &mut ActionBuffer) {
-            out.clear();
-            out.set_paid(req.is_positive());
-            out.begin(ActionKind::Flush).push(otc_core::tree::NodeId(1));
-        }
-    }
-
-    #[test]
-    fn flush_payload_mismatch_is_caught() {
-        // In every configuration — the flush check is never gated, so even
-        // bare benchmark runs cannot under-report a flush's cost.
-        for cfg in [SimConfig::new(2), SimConfig::bare(2)] {
-            let tree = Tree::star(3);
-            let mut p = FlushLiar { cache: CacheSet::empty(tree.len()) };
-            let reqs = vec![Request::pos(otc_core::tree::NodeId(1))];
-            let err = run_policy(&tree, &mut p, &reqs, cfg).unwrap_err();
-            assert!(err.contains("flush payload"), "unexpected error: {err}");
-        }
-    }
-
-    /// A policy with broken internal aggregates that only `audit` can see:
-    /// its actions and cache are protocol-clean, so per-round validation
-    /// passes, but `run_stream`'s debug-build audit hook must reject it.
-    struct AuditFailer {
-        cache: CacheSet,
-    }
-    impl CachePolicy for AuditFailer {
-        fn name(&self) -> &'static str {
-            "audit-failer"
-        }
-        fn capacity(&self) -> usize {
-            4
+            self.capacity
         }
         fn cache(&self) -> &CacheSet {
             &self.cache
         }
         fn reset(&mut self) {}
         fn audit(&self) -> Result<(), String> {
-            Err("synthetic aggregate drift".to_string())
+            if self.fails_audit {
+                return Err("synthetic aggregate drift".to_string());
+            }
+            Ok(())
         }
         fn step(&mut self, req: Request, out: &mut ActionBuffer) {
             out.clear();
-            out.set_paid(req.is_positive());
+            out.set_paid(request_pays(&self.cache, req) != self.lies);
+            let Some((kind, set)) = self.script.pop() else { return };
+            for &v in set.iter().filter(|_| !self.silent) {
+                match kind {
+                    ActionKind::Fetch => self.cache.insert(v),
+                    _ => self.cache.remove(v),
+                }
+            }
+            out.begin(kind).extend_from_slice(&set);
+        }
+        fn save_state(&self, out: &mut Vec<u8>) -> Result<(), String> {
+            self.cache.write_bitmap(out);
+            Ok(())
+        }
+        fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+            self.cache = CacheSet::from_bitmap(self.n, bytes)?;
+            Ok(())
+        }
+    }
+
+    /// Runs `p` over requests for nodes 1 and 2 of `tree` in both ends of
+    /// the configuration range, and returns the refusal each gives.
+    fn refusals(tree: &Tree, p: impl Fn() -> Scripted) -> [String; 2] {
+        let reqs = [Request::pos(NodeId(1)), Request::pos(NodeId(2))];
+        [EngineConfig::new(2), EngineConfig::bare(2)]
+            .map(|cfg| run_policy(tree, &mut p(), &reqs, cfg).unwrap_err())
+    }
+
+    #[test]
+    fn liar_is_caught() {
+        for err in
+            refusals(&Tree::star(3), || Scripted { lies: true, ..Scripted::new(4, &[], &[]) })
+        {
+            assert!(err.contains("round 0: policy reported paid"), "unexpected error: {err}");
+        }
+    }
+
+    #[test]
+    fn invalid_changeset_is_caught() {
+        use ActionKind::{Evict, Fetch};
+        // Star(3) is root 0 over leaves 1–3; path(3) is the chain 0→1→2.
+        let (star, path) = (Tree::star(3), Tree::path(3));
+        type Case<'a> = (&'a Tree, &'a [u32], ActionKind, &'a [u32], &'a str);
+        let cases: [Case; 10] = [
+            (&star, &[1], Fetch, &[], "positive changeset []"),
+            (&star, &[1], Fetch, &[1], "positive"), // overlaps the cache
+            (&star, &[], Fetch, &[1, 1], "positive"), // repeats a node
+            (&star, &[], Fetch, &[0], "positive"),  // the root without its leaves
+            (&path, &[], Fetch, &[1], "positive"),  // node 1 without its child
+            (&star, &[1], Evict, &[], "negative changeset []"),
+            (&star, &[1], Evict, &[2], "negative"), // not cached
+            (&star, &[1, 2], Evict, &[1, 1], "negative"), // repeats a node
+            (&star, &[0, 1, 2, 3], Evict, &[1], "negative"), // the cached root loses leaf 1
+            (&path, &[1, 2], Evict, &[2], "negative"), // node 2's parent stays
+        ];
+        for (tree, start, kind, set, want) in cases {
+            for err in refusals(tree, || Scripted::new(tree.len(), start, &[(kind, set)])) {
+                assert!(err.contains(&format!("round 0: invalid {want}")), "{set:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn divergent_cache_is_caught() {
+        // Claims to fetch leaf 1 without caching it.
+        let p = || Scripted { silent: true, ..Scripted::new(4, &[], &[(ActionKind::Fetch, &[1])]) };
+        for err in refusals(&Tree::star(3), p) {
+            assert!(err.contains("after 2 rounds: policy cache diverged"), "unexpected: {err}");
+        }
+    }
+
+    #[test]
+    fn over_capacity_is_caught() {
+        let script: &[(ActionKind, &[u32])] =
+            &[(ActionKind::Fetch, &[1]), (ActionKind::Fetch, &[2])];
+        let p = || Scripted { capacity: 1, ..Scripted::new(4, &[], script) };
+        for err in refusals(&Tree::star(3), p) {
+            assert!(err.contains("round 1: capacity exceeded: 2 > 1"), "unexpected error: {err}");
+        }
+    }
+
+    #[test]
+    fn invalid_start_cache_is_refused() {
+        for cfg in [EngineConfig::new(2), EngineConfig::bare(2)] {
+            // The star's root without its leaves is no subforest.
+            let tree = Tree::star(3);
+            let mut p = Scripted::new(tree.len(), &[0], &[]);
+            let mut engine = crate::engine::ShardedEngine::single_borrowed(&tree, &mut p, cfg);
+            let err = engine.submit_batch(&[Request::pos(NodeId(1))]).unwrap_err();
+            assert!(err.message.contains("refusing to adopt the cache"), "unexpected error: {err}");
+            assert_eq!(engine.into_report().unwrap_err(), err, "the refusal is sticky");
+        }
+    }
+
+    #[test]
+    fn flush_payload_mismatch_is_caught() {
+        // Claims the (empty) cache held leaf 1.
+        for err in refusals(&Tree::star(3), || Scripted::new(4, &[], &[(ActionKind::Flush, &[1])]))
+        {
+            assert!(err.contains("flush payload"), "unexpected error: {err}");
         }
     }
 
     #[cfg(debug_assertions)]
     #[test]
     fn run_stream_audits_even_in_bare_mode() {
+        // Broken internal aggregates only `audit` can see: the actions and
+        // cache are protocol-clean, so the driver's checks pass.
         let tree = Tree::star(2);
-        let mut p = AuditFailer { cache: CacheSet::empty(tree.len()) };
+        let mut p = Scripted { fails_audit: true, ..Scripted::new(tree.len(), &[], &[]) };
         let reqs = vec![Request::pos(tree.leaves()[0]); 8];
         // run_policy never audits — the drift goes unnoticed.
-        assert!(run_policy(&tree, &mut p, &reqs, SimConfig::bare(2)).is_ok());
-        // run_stream audits at chunk boundaries even with validation off.
-        let err = run_stream(&tree, &mut p, &reqs, SimConfig::bare(2), 4).unwrap_err();
+        assert!(run_policy(&tree, &mut p, &reqs, EngineConfig::bare(2)).is_ok());
+        // run_stream audits at chunk boundaries even without instrumentation.
+        let err = run_stream(&tree, &mut p, &reqs, EngineConfig::bare(2), 4).unwrap_err();
         assert!(err.contains("audit failed"), "unexpected error: {err}");
     }
 

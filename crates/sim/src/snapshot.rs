@@ -11,15 +11,15 @@
 //! to [`LogPosition`], and replay the tail; determinism invariant #6
 //! (DESIGN.md) makes the result equal the uninterrupted run.
 //!
-//! # Format (`OTCS` v1)
+//! # Format (`OTCS` v2)
 //!
 //! All integers little-endian. The file is strictly sized — parsing
 //! rejects any byte added, removed, or changed:
 //!
 //! ```text
-//! magic "OTCS" (4) | version u16 = 1 | flags u16 = 0
+//! magic "OTCS" (4) | version u16 = 2 | flags u16 = 0
 //! meta section   : u32 length prefix, then
-//!     alpha u64 | validate u8 | instrument u8 | telemetry u8
+//!     alpha u64 | instrument u8 | telemetry u8
 //!     audit_chunk u64 (u64::MAX = none) | global_len u64
 //!     num_shards u32 | log_offset u64 | log_records u64
 //! per-shard section × num_shards : u32 length prefix, then
@@ -45,6 +45,9 @@
 //! vector count bounded by the bytes that remain *before* any allocation.
 //! A rejected snapshot returns a typed [`SnapshotError`]; nothing is
 //! partially restored.
+//!
+//! Version 1 carried one more meta byte, `validate`, after α; this build
+//! refuses a version 1 image with [`SnapshotError::BadVersion`].
 
 // Codec modules hold the panic-freedom line hardest: a narrowing cast
 // or an out-of-bounds index here turns a corrupt snapshot into a wrong
@@ -63,7 +66,7 @@ use crate::telemetry::WindowRecord;
 /// The four magic bytes every snapshot starts with.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"OTCS";
 /// The format version this build writes and accepts.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
 /// Upper bound on `num_shards` accepted from a snapshot (same cap as the
 /// OTCT trace header).
 pub const MAX_SNAPSHOT_SHARDS: u32 = 1 << 20;
@@ -196,8 +199,6 @@ pub struct LogPosition {
 pub struct SnapshotMeta {
     /// The per-node reorganisation cost α.
     pub alpha: u64,
-    /// Whether per-action validation was on.
-    pub validate: bool,
     /// Whether fields/periods/phases instrumentation was on.
     pub instrument: bool,
     /// Whether windowed telemetry was on.
@@ -220,7 +221,6 @@ impl SnapshotMeta {
     pub fn of(cfg: &EngineConfig, global_len: usize, num_shards: u32, log: LogPosition) -> Self {
         Self {
             alpha: cfg.alpha,
-            validate: cfg.validate,
             instrument: cfg.instrument,
             telemetry: cfg.telemetry,
             audit_chunk: cfg.audit_chunk.map(|c| c as u64),
@@ -351,7 +351,6 @@ pub fn write_header(meta: &SnapshotMeta, out: &mut Vec<u8>) {
     let at = out.len();
     put_u32(out, 0); // patched below
     put_u64(out, meta.alpha);
-    out.push(u8::from(meta.validate));
     out.push(u8::from(meta.instrument));
     out.push(u8::from(meta.telemetry));
     put_u64(out, meta.audit_chunk.unwrap_or(u64::MAX));
@@ -633,7 +632,6 @@ fn parse_window(cur: &mut Cur<'_>) -> Result<WindowRecord, SnapshotError> {
 fn parse_meta(bytes: &[u8]) -> Result<SnapshotMeta, SnapshotError> {
     let mut cur = Cur::new(bytes);
     let alpha = cur.u64("meta alpha")?;
-    let validate = cur.flag("meta validate")?;
     let instrument = cur.flag("meta instrument")?;
     let telemetry = cur.flag("meta telemetry")?;
     let audit_chunk = match cur.u64("meta audit chunk")? {
@@ -652,7 +650,6 @@ fn parse_meta(bytes: &[u8]) -> Result<SnapshotMeta, SnapshotError> {
     cur.done("meta section")?;
     Ok(SnapshotMeta {
         alpha,
-        validate,
         instrument,
         telemetry,
         audit_chunk,
@@ -877,12 +874,11 @@ impl EngineSnapshot {
                 m.alpha, want.alpha
             )));
         }
-        if (m.validate, m.instrument, m.telemetry, m.audit_chunk)
-            != (want.validate, want.instrument, want.telemetry, want.audit_chunk)
+        if (m.instrument, m.telemetry, m.audit_chunk)
+            != (want.instrument, want.telemetry, want.audit_chunk)
         {
             return Err(SnapshotError::Incompatible(
-                "snapshot was taken under different validate/instrument/telemetry/audit settings"
-                    .into(),
+                "snapshot was taken under different instrument/telemetry/audit settings".into(),
             ));
         }
         if m.global_len != want.global_len {
@@ -906,9 +902,11 @@ impl EngineSnapshot {
 /// Validation order keeps this safe: tree/policy identity checks and the
 /// (internally atomic) [`otc_core::policy::CachePolicy::restore_state`]
 /// run **before** any shard state is touched, so those failures leave the
-/// shard exactly as it was. The one cross-check that can only run after
-/// the policy restore — restored mirror ≡ restored policy cache —
-/// poisons the shard on failure rather than leave a split state.
+/// shard exactly as it was. The two checks that can only run after the
+/// policy restore — restored mirror ≡ restored policy cache, and the
+/// driver adopting that cache (subforest and capacity, the base case of
+/// its per-changeset induction) — poison the shard on failure rather than
+/// leave a split state.
 pub(crate) fn precheck_section(sec: &ShardSection, state: &ShardState<'_>) -> Result<(), String> {
     let tree = state.tree.get();
     if sec.tree_len != tree.len() as u64 {
@@ -943,15 +941,16 @@ pub(crate) fn restore_section_into(
     precheck_section(sec, state)?;
     state.policy.restore_state(&sec.policy_blob)?;
     if sec.mirror != *state.policy.cache() {
-        let message = format!(
+        return Err(state.poison(format!(
             "shard {}: snapshot cache bitmap diverges from the restored policy's cache",
             sec.shard
-        );
-        state.failed = Some(message.clone());
-        return Err(message);
+        )));
+    }
+    let capacity = state.policy.capacity();
+    if let Err(e) = state.driver.adopt_cache(state.tree.get(), &sec.mirror, capacity) {
+        return Err(state.poison(format!("shard {}: {e}", sec.shard)));
     }
     let d = &mut state.driver;
-    d.mirror = sec.mirror.clone();
     d.pending.clear();
     d.pending.extend_from_slice(&sec.pending);
     d.fields = sec.fields.clone();
@@ -998,27 +997,13 @@ mod tests {
     use otc_core::policy::CachePolicy;
     use otc_core::request::Request;
     use otc_core::tc::{TcConfig, TcFast};
-    use otc_util::SplitMix64;
     use otc_workloads::trace::{TraceHeader, TraceReader, TraceWriter};
 
     use crate::engine::ShardedEngine;
+    use crate::runner::tests::{mixed, Scripted};
 
     fn factory(tree: Arc<Tree>, _s: ShardId) -> Box<dyn CachePolicy> {
         Box::new(TcFast::new(tree, TcConfig::new(2, 4)))
-    }
-
-    fn mixed(n: usize, len: usize, seed: u64) -> Vec<Request> {
-        let mut rng = SplitMix64::new(seed);
-        (0..len)
-            .map(|_| {
-                let v = NodeId(rng.index(n) as u32);
-                if rng.chance(0.4) {
-                    Request::neg(v)
-                } else {
-                    Request::pos(v)
-                }
-            })
-            .collect()
     }
 
     fn cfg() -> EngineConfig {
@@ -1127,6 +1112,56 @@ mod tests {
         let err = wrong_tree.restore_snapshot(&snap).unwrap_err();
         assert!(err.message.contains("tree"), "got: {err}");
         wrong_tree.submit(Request::pos(NodeId(1))).expect("refusal leaves the engine usable");
+    }
+
+    #[test]
+    fn version_1_images_are_refused() {
+        let tree = Tree::star(4);
+        let mut engine = ShardedEngine::new(Forest::partition(&tree, 2), &factory, cfg());
+        engine.submit_batch(&mixed(tree.len(), 200, 7)).expect("valid");
+        let mut v2 = Vec::new();
+        engine.write_snapshot(LogPosition::default(), &mut v2).expect("snapshots");
+        assert!(EngineSnapshot::parse(&v2).is_ok());
+        // The same state in the version 1 layout: a `validate` byte right
+        // after α in the meta section, and a fresh trailer.
+        let mut v1 = v2[..v2.len() - 16].to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let meta_len = u32::from_le_bytes(le_bytes(&v1[8..12])) + 1;
+        v1[8..12].copy_from_slice(&meta_len.to_le_bytes());
+        v1.insert(12 + 8, 1);
+        finish_snapshot(&mut v1);
+        assert_eq!(EngineSnapshot::parse(&v1).unwrap_err(), SnapshotError::BadVersion(1));
+    }
+
+    #[test]
+    fn restoring_a_cache_the_driver_refuses_poisons_the_shard() {
+        let tree = Arc::new(Tree::star(3));
+        let raw = |tree: Arc<Tree>, _s: ShardId| {
+            let p = Scripted { capacity: 2, ..Scripted::new(tree.len(), &[], &[]) };
+            Box::new(p) as Box<dyn CachePolicy>
+        };
+        let mut source = ShardedEngine::new(Forest::single(Arc::clone(&tree)), &raw, cfg());
+        let mut buf = Vec::new();
+        source.write_snapshot(LogPosition::default(), &mut buf).expect("snapshots");
+        let snap = EngineSnapshot::parse(&buf).expect("parses");
+        // The star's root without its leaves, then all four nodes against
+        // a capacity of 2: mirror and policy blob agree, so only the
+        // driver's adoption check can refuse them.
+        for (nodes, why) in [(&[0u32][..], "subforest"), (&[0, 1, 2, 3][..], "capacity")] {
+            let mut bad = snap.clone();
+            let mut cache = CacheSet::empty(tree.len());
+            for &v in nodes {
+                cache.insert(NodeId(v));
+            }
+            bad.sections[0].policy_blob.clear();
+            cache.write_bitmap(&mut bad.sections[0].policy_blob);
+            bad.sections[0].mirror = cache;
+            let mut engine = ShardedEngine::new(Forest::single(Arc::clone(&tree)), &raw, cfg());
+            let err = engine.restore_snapshot(&bad).unwrap_err();
+            assert!(err.message.contains("refusing to adopt the cache"), "{why}: {err}");
+            assert!(err.message.contains(why), "{why}: {err}");
+            assert_eq!(engine.submit(Request::pos(NodeId(1))).unwrap_err(), err, "poisoned");
+        }
     }
 
     #[test]

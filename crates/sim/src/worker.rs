@@ -201,14 +201,15 @@ impl ShardWorker {
     }
 
     /// Drives one **shard-local** request through the verified driver
-    /// (same semantics as `ShardedEngine::submit` after routing).
+    /// (same semantics as `ShardedEngine::submit` after routing, the
+    /// divergence check included).
     ///
     /// # Errors
     /// The simulator's classic protocol violations; the first one
     /// poisons the worker (subsequent calls return it again).
     pub fn step(&mut self, req: Request) -> Result<SubmitOutcome, String> {
         let mut handle = ShardHandle { state: &mut self.state, shard: self.shard, cfg: self.cfg };
-        handle.step(req)
+        handle.step(req).and_then(|out| handle.end_batch().map(|()| out))
     }
 
     /// Drives a slice of shard-local requests in order, with the
@@ -217,16 +218,7 @@ impl ShardWorker {
     /// # Errors
     /// Protocol violations (sticky, as with [`ShardWorker::step`]).
     pub fn run_batch(&mut self, reqs: &[Request]) -> Result<(), String> {
-        if let Some(message) = &self.state.failed {
-            return Err(message.clone());
-        }
-        match self.state.drain(reqs, &self.cfg) {
-            Ok(()) => Ok(()),
-            Err(message) => {
-                self.state.failed = Some(message.clone());
-                Err(message)
-            }
-        }
+        self.state.drain(reqs, &self.cfg)
     }
 
     /// The report **as if the run ended now**: all counters accumulated
@@ -238,7 +230,7 @@ impl ShardWorker {
     #[must_use]
     pub fn report_snapshot(&self) -> Report {
         let mut report = self.state.report.clone();
-        self.state.driver.finish_into(self.cfg.sim(), &mut report);
+        self.state.driver.finish_into(&self.cfg, &mut report);
         report
     }
 
@@ -273,7 +265,8 @@ impl ShardWorker {
     /// poisoning contract on post-mutation failures.
     ///
     /// # Errors
-    /// Identity mismatches and policy restore failures.
+    /// Identity mismatches, policy restore failures, and a restored cache
+    /// the driver refuses to adopt (which poisons the worker).
     pub fn restore_section(
         &mut self,
         section: &crate::snapshot::ShardSection,
@@ -290,13 +283,14 @@ impl ShardWorker {
     /// Finishes the worker and returns its final per-shard report.
     ///
     /// # Errors
-    /// Returns the sticky protocol violation if one occurred.
+    /// Returns the sticky protocol violation if one occurred, or a mirror
+    /// that fails the final subforest walk.
     pub fn into_report(self) -> Result<Report, String> {
         if let Some(message) = self.state.failed {
             return Err(message);
         }
         let mut report = self.state.report;
-        self.state.driver.finish(self.cfg.sim(), &mut report);
+        self.state.driver.finish(self.state.tree.get(), &self.cfg, &mut report)?;
         Ok(report)
     }
 }
@@ -319,27 +313,13 @@ pub fn timeline_from_windows(
 mod tests {
     use super::*;
     use crate::engine::ShardedEngine;
+    use crate::runner::tests::mixed;
     use otc_core::policy::CachePolicy;
     use otc_core::tc::{TcConfig, TcFast};
     use otc_core::tree::NodeId;
-    use otc_util::SplitMix64;
 
     fn factory(tree: Arc<Tree>, _s: ShardId) -> Box<dyn CachePolicy> {
         Box::new(TcFast::new(tree, TcConfig::new(2, 4)))
-    }
-
-    fn mixed(n: usize, len: usize, seed: u64) -> Vec<Request> {
-        let mut rng = SplitMix64::new(seed);
-        (0..len)
-            .map(|_| {
-                let v = NodeId(rng.index(n) as u32);
-                if rng.chance(0.4) {
-                    Request::neg(v)
-                } else {
-                    Request::pos(v)
-                }
-            })
-            .collect()
     }
 
     #[test]

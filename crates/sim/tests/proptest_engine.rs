@@ -15,7 +15,7 @@ use otc_core::tc::{TcConfig, TcFast};
 use otc_core::tree::{NodeId, Tree};
 use otc_core::{Request, Sign};
 use otc_sim::engine::{EngineConfig, ShardedEngine};
-use otc_sim::{run_policy, run_stream, SimConfig};
+use otc_sim::{run_policy, run_stream};
 use proptest::prelude::*;
 
 fn tree_from_seeds(seeds: &[u64]) -> Tree {
@@ -55,7 +55,7 @@ proptest! {
         let reqs = requests_for(&req_seeds, tree.len());
 
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(alpha, capacity));
-        let legacy = run_policy(&tree, &mut tc, &reqs, SimConfig::new(alpha))
+        let legacy = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(alpha))
             .map_err(TestCaseError::fail)?;
 
         let factory = tc_factory(alpha, capacity);
@@ -70,7 +70,7 @@ proptest! {
 
         // The chunked/audited cadence against run_stream.
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(alpha, capacity));
-        let streamed = run_stream(&tree, &mut tc, &reqs, SimConfig::new(alpha), chunk)
+        let streamed = run_stream(&tree, &mut tc, &reqs, EngineConfig::new(alpha), chunk)
             .map_err(TestCaseError::fail)?;
         let mut engine = ShardedEngine::new(
             Forest::single(Arc::clone(&tree)),
@@ -114,7 +114,7 @@ proptest! {
                 })
                 .collect();
             let mut tc = TcFast::new(Arc::clone(tree), TcConfig::new(alpha, capacity));
-            let solo = run_policy(tree, &mut tc, &local, SimConfig::new(alpha))
+            let solo = run_policy(tree, &mut tc, &local, EngineConfig::new(alpha))
                 .map_err(TestCaseError::fail)?;
             prop_assert_eq!(&per_shard[s], &solo, "shard {} differs", s);
         }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use otc_core::tc::{TcConfig, TcFast};
 use otc_core::tree::{NodeId, Tree};
 use otc_core::{Request, Sign};
-use otc_sim::{run_policy, SimConfig};
+use otc_sim::{run_policy, EngineConfig};
 use proptest::prelude::*;
 
 fn tree_from_seeds(seeds: &[u64]) -> Tree {
@@ -42,7 +42,7 @@ proptest! {
             })
             .collect();
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(alpha, capacity));
-        let report = run_policy(&tree, &mut tc, &reqs, SimConfig::new(alpha))
+        let report = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(alpha))
             .map_err(|e| TestCaseError::fail(format!("simulator rejected TC: {e}")))?;
 
         // Observation 5.2.

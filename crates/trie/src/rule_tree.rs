@@ -106,12 +106,6 @@ impl RuleTree {
         &self.tree
     }
 
-    /// Consumes self, returning the tree.
-    #[must_use]
-    pub fn into_tree(self) -> Tree {
-        self.tree
-    }
-
     /// Rules by node id.
     #[must_use]
     pub fn prefixes(&self) -> &[Prefix] {

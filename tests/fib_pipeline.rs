@@ -10,7 +10,7 @@ use online_tree_caching::core::tc::{TcConfig, TcFast};
 use online_tree_caching::sdn::{
     forwarding_violations, generate_events, run_fib, to_request_stream, FibEvent, FibWorkloadConfig,
 };
-use online_tree_caching::sim::{run_policy, SimConfig};
+use online_tree_caching::sim::{run_policy, EngineConfig};
 use online_tree_caching::trie::{hierarchical_table, HierarchicalConfig, RuleTree};
 use online_tree_caching::util::SplitMix64;
 
@@ -55,7 +55,7 @@ fn request_stream_equals_live_run_for_tc() {
 
     let (reqs, chunks) = to_request_stream(&rules, &events, alpha);
     let mut tc_sim = TcFast::new(Arc::clone(&tree), TcConfig::new(alpha, 64));
-    let sim = run_policy(&tree, &mut tc_sim, &reqs, SimConfig::new(alpha)).expect("valid");
+    let sim = run_policy(&tree, &mut tc_sim, &reqs, EngineConfig::new(alpha)).expect("valid");
 
     assert_eq!(live.total_cost(), sim.total());
     assert_eq!(live.service_cost, sim.cost.service);
@@ -157,7 +157,7 @@ fn all_policies_respect_capacity_through_simulator() {
         Box::new(InvalidateOnUpdate::new(Arc::clone(&tree), 32)),
     ];
     for mut policy in mk {
-        let report = run_policy(&tree, policy.as_mut(), &reqs, SimConfig::new(alpha))
+        let report = run_policy(&tree, policy.as_mut(), &reqs, EngineConfig::new(alpha))
             .unwrap_or_else(|e| panic!("{} violated the protocol: {e}", policy.name()));
         assert!(report.peak_cache <= 32, "{} exceeded capacity", policy.name());
     }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use online_tree_caching::baselines::opt_cost_free_start;
 use online_tree_caching::core::tc::{TcConfig, TcFast};
 use online_tree_caching::core::{Request, Sign, Tree};
-use online_tree_caching::sim::{run_policy, SimConfig};
+use online_tree_caching::sim::{run_policy, EngineConfig};
 use online_tree_caching::util::SplitMix64;
 
 fn random_tree(n: usize, rng: &mut SplitMix64) -> Tree {
@@ -43,7 +43,7 @@ fn lemma_5_3_identity_per_phase() {
         let k = 1 + rng.index(5);
         let reqs = random_requests(&tree, 1500, &mut rng);
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(alpha, k));
-        let report = run_policy(&tree, &mut tc, &reqs, SimConfig::new(alpha)).expect("valid");
+        let report = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(alpha)).expect("valid");
         for (i, phase) in report.phases.iter().enumerate() {
             let flush_term = if phase.finished { phase.k_p as u64 * alpha } else { 0 };
             let predicted = 2 * alpha * phase.fields_size + phase.open_requests + flush_term;
@@ -66,7 +66,7 @@ fn lemma_5_12_open_field_bound_per_phase() {
         let k_onl = 1 + rng.index(5);
         let reqs = random_requests(&tree, 1200, &mut rng);
         let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(alpha, k_onl));
-        let report = run_policy(&tree, &mut tc, &reqs, SimConfig::new(alpha)).expect("valid");
+        let report = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(alpha)).expect("valid");
 
         // Phases partition the request sequence in order.
         let mut start = 0usize;
