@@ -753,7 +753,7 @@ pub(crate) mod tests {
     #[test]
     fn run_stream_audits_even_in_bare_mode() {
         // Broken internal aggregates only `audit` can see: the actions and
-        // cache are protocol-clean, so the driver's checks pass.
+        // cache are protocol-clean, so `Driver`'s per-action checks pass.
         let tree = Tree::star(2);
         let mut p = Scripted { fails_audit: true, ..Scripted::new(tree.len(), &[], &[]) };
         let reqs = vec![Request::pos(tree.leaves()[0]); 8];
