@@ -6,9 +6,12 @@
 //! arriving from many concurrent clients **while** the tree cache is
 //! being updated — as a long-lived service:
 //!
-//! * [`Server`] pins one persistent worker thread per shard (a detached
-//!   [`otc_sim::worker::ShardWorker`]), fed through bounded
-//!   [`otc_util::ring`] channels with backpressure;
+//! * [`Server`] places the detached
+//!   [`otc_sim::worker::ShardWorker`] cells in serving groups (one per
+//!   shard, or [`RebalancePolicy::groups`]) and runs the groups on
+//!   `min(groups, available_parallelism())` persistent worker threads,
+//!   each fed through one bounded [`otc_util::ring`] channel with
+//!   backpressure;
 //! * the [`wire`] protocol frames requests on loopback TCP, reusing the
 //!   OTCT LEB128 record codec ([`otc_workloads::wire`]) byte for byte;
 //! * [`Client`] speaks it, synchronously or pipelined;

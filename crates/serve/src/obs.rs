@@ -7,17 +7,18 @@
 //! |--------|-------|
 //! | `otc_serve_accept_nanos` | TCP accept → handshake flushed |
 //! | `otc_serve_lock_hold_nanos` | ingress lock held (log + route + enqueue, per batch) |
-//! | `otc_serve_ring_wait_nanos{group}` | staged in a group run → dequeued, including the ack write before the deferred wake (sampled once per ingest) |
+//! | `otc_serve_ring_wait_nanos{group}` | staged in a lane run → dequeued, including the ack write before the deferred wake (sampled once per ingest, labelled with the request's group) |
 //! | `otc_serve_drain_nanos{cell}` | one buffered run through a cell worker |
 //! | `otc_serve_flush_nanos` | one reply flushed to the socket |
 //!
 //! plus operational counters (`otc_serve_connections_total`,
 //! `otc_serve_batches_total`, `otc_serve_requests_total`,
-//! `otc_serve_scrapes_total`), the static gauges `otc_serve_cells` /
-//! `otc_serve_groups`, and the paper's cost totals over every cell
-//! (`otc_serve_rounds_total`, `otc_serve_paid_rounds_total`,
-//! `otc_serve_service_cost_total`, `otc_serve_reorg_cost_total`, the
-//! last already multiplied by α). A group worker adds each run's cost
+//! `otc_serve_scrapes_total`), the static gauges `otc_serve_cells`,
+//! `otc_serve_groups` and `otc_serve_lanes` (worker threads), and the
+//! paper's cost totals over every cell (`otc_serve_rounds_total`,
+//! `otc_serve_paid_rounds_total`, `otc_serve_service_cost_total`,
+//! `otc_serve_reorg_cost_total`, the last already multiplied by α). A
+//! lane worker adds each run's cost
 //! deltas before it publishes progress, so a scrape that follows a
 //! `Drain` on the same connection is exact; a resumed service seeds them
 //! with the recovered totals.
@@ -27,7 +28,7 @@
 //! per-group/per-cell histograms in a scrape are observe-only
 //! annotations of the rebalance placement (never decision inputs — the
 //! determinism crates cannot even depend on `otc-obs`, otc-lint R7),
-//! and the group worker times a drain and reads the cell's counters
+//! and the lane worker times a drain and reads the cell's counters
 //! around `ShardWorker::run_batch`, feeding nothing back into it. The
 //! differential suite in `crates/serve/tests/observer.rs` proves runs
 //! with metrics on, off, and scraped concurrently are bit-identical.
@@ -78,10 +79,10 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// A fresh metrics surface for a service with `cells` cells served
-    /// by `groups` worker threads.
+    /// A fresh metrics surface for a service with `cells` cells placed
+    /// in `groups` serving groups, which run on `lanes` worker threads.
     #[must_use]
-    pub fn new(cells: usize, groups: usize) -> Self {
+    pub fn new(cells: usize, groups: usize, lanes: usize) -> Self {
         let registry = Registry::new();
         let ring_wait = (0..groups)
             .map(|g| registry.histogram("otc_serve_ring_wait_nanos", &[("group", &index_label(g))]))
@@ -109,6 +110,8 @@ impl ServeMetrics {
         cells_gauge.set(cells as u64);
         let groups_gauge = metrics.registry.gauge("otc_serve_groups", &[]);
         groups_gauge.set(groups as u64);
+        let lanes_gauge = metrics.registry.gauge("otc_serve_lanes", &[]);
+        lanes_gauge.set(lanes as u64);
         metrics
     }
 
@@ -152,7 +155,7 @@ mod tests {
 
     #[test]
     fn snapshot_names_every_stage() {
-        let m = ServeMetrics::new(3, 2);
+        let m = ServeMetrics::new(3, 2, 1);
         m.accept.record(100);
         m.record_ring_wait(1, 50);
         m.record_drain(2, 75);
@@ -175,11 +178,12 @@ mod tests {
             "otc_serve_reorg_cost_total",
             "otc_serve_cells",
             "otc_serve_groups",
+            "otc_serve_lanes",
         ] {
             assert!(names.contains(&want), "missing {want} in {names:?}");
         }
-        // 3 drain + 2 ring_wait + 3 plain histograms + 8 counters + 2 gauges.
-        assert_eq!(snap.metrics.len(), 18);
+        // 3 drain + 2 ring_wait + 3 plain histograms + 8 counters + 3 gauges.
+        assert_eq!(snap.metrics.len(), 19);
         // The scrape round-trips through the exposition codec.
         let json = snap.to_json();
         assert_eq!(MetricsSnapshot::from_json(&json).expect("canonical"), snap);

@@ -10,18 +10,20 @@
 //!   policy factory that rebuilds a migrated cell's policy at its
 //!   destination;
 //! * `Probe` (crate-private) — the boundary's load sample: a marker
-//!   floated down every group ring (like a snapshot cut), so each group
+//!   floated down every lane ring (like a snapshot cut), so each lane
 //!   reports its cells' cumulative loads after executing *exactly* the
 //!   boundary prefix;
-//! * `Handoff` (crate-private) — the migration rendezvous: the source
-//!   group serializes the cell as a length-prefixed OTCS section
-//!   (`detach_cell`) and offers it; the destination group blocks on
-//!   `Handoff::take` and rebuilds the cell (`install_cell`) before
-//!   touching any request enqueued after the boundary.
+//! * `Handoff` (crate-private) — the migration rendezvous between two
+//!   lanes (worker threads): the source lane serializes the cell as a
+//!   length-prefixed OTCS section (`detach_cell`) and offers it; the
+//!   destination lane blocks on `Handoff::take` and rebuilds the cell
+//!   (`install_cell`) before touching any request enqueued after the
+//!   boundary. A move between two groups on the same lane needs no
+//!   handoff: the routing table alone moves the cell.
 //!
 //! Deadlock-freedom of the rendezvous is purely an ordering argument:
 //! ingress pushes **all** `MigrateOut` markers before **any** `Install`
-//! marker, so per-ring FIFO guarantees every group serializes its
+//! marker, so per-ring FIFO guarantees every lane serializes its
 //! outgoing cells before it can block waiting for an incoming one.
 //! That argument needs each cell to migrate at most once per boundary,
 //! so a decision is first collapsed into one net move per cell
@@ -42,14 +44,16 @@ use crate::server::locked;
 
 /// Turns a [`crate::Server`] into a dynamically resharded service: the
 /// engine's cells (root-child subtrie shards) are spread over `groups`
-/// persistent worker threads, and every [`RebalanceConfig::interval`]
+/// serving groups, and every [`RebalanceConfig::interval`]
 /// accepted requests the service re-plans the placement and migrates
 /// cells between groups — deterministically, as a pure function of the
 /// logged request stream (determinism invariant #7, `DESIGN.md`).
 #[derive(Clone)]
 pub struct RebalancePolicy {
-    /// Serving groups (worker threads) the cells are spread over. Must
-    /// satisfy `1 <= groups <= cells`.
+    /// Serving groups the cells are spread over: the unit the rebalancer
+    /// places, logs and replays. Must satisfy `1 <= groups <= cells`. The
+    /// groups run on `min(groups, available_parallelism())` worker
+    /// threads, so this is not a thread count.
     pub groups: u32,
     /// Decision cadence and thresholds (see [`otc_sim::rebalance`]).
     pub config: RebalanceConfig,
@@ -148,7 +152,7 @@ pub(crate) fn net_moves(
     Ok(net)
 }
 
-/// One boundary's load sample, shared by every group ring. Each group
+/// One boundary's load sample, shared by every lane ring. Each lane
 /// fills the slots of the cells it hosts after executing exactly the
 /// boundary prefix (FIFO); ingress blocks on [`Probe::wait_all`] until
 /// every cell reported.
@@ -162,7 +166,7 @@ impl Probe {
         Self { slots: Mutex::new(vec![None; cells]), cv: Condvar::new() }
     }
 
-    /// Reports the loads of the cells this group hosts.
+    /// Reports the loads of the cells this lane hosts.
     pub(crate) fn fill<I: IntoIterator<Item = (usize, CellLoad)>>(&self, loads: I) {
         let mut slots = locked(&self.slots);
         for (cell, load) in loads {
@@ -174,7 +178,7 @@ impl Probe {
     }
 
     /// Blocks until every cell's load arrived, then returns them in cell
-    /// order. Safe to call while holding the ingress lock: group threads
+    /// order. Safe to call while holding the ingress lock: lane threads
     /// never take the ingress lock, so they always make progress toward
     /// filling the probe.
     pub(crate) fn wait_all(&self) -> Vec<CellLoad> {
@@ -195,9 +199,9 @@ pub(crate) struct HandoffPayload {
     pub(crate) tree: Arc<Tree>,
 }
 
-/// The one-shot rendezvous of one cell migration: the source group
+/// The one-shot rendezvous of one cell migration: the source lane
 /// offers the payload (or the reason it could not produce one), the
-/// destination group blocks until it arrives.
+/// destination lane blocks until it arrives.
 pub(crate) struct Handoff {
     slot: Mutex<Option<Result<HandoffPayload, String>>>,
     cv: Condvar,

@@ -4,9 +4,9 @@
 //! stream; see `DESIGN.md` "The serving runtime" for the full diagram):
 //!
 //! ```text
-//! client A ──TCP──▶ conn thread A ─┐            ┌─▶ group 0 {ShardWorker…}
-//! client B ──TCP──▶ conn thread B ─┤─ ingress ──┤─▶ group 1 {ShardWorker…}
-//! client C ──TCP──▶ conn thread C ─┘   lock     └─▶ group G {ShardWorker…}
+//! client A ──TCP──▶ conn thread A ─┐            ┌─▶ lane 0   {groups 0, L, 2L…}
+//! client B ──TCP──▶ conn thread B ─┤─ ingress ──┤─▶ lane 1   {groups 1, L+1…}
+//! client C ──TCP──▶ conn thread C ─┘   lock     └─▶ lane L-1 {groups L-1, 2L-1…}
 //!                                      │
 //!                                      └─▶ OTCT trace log
 //! ```
@@ -14,40 +14,48 @@
 //! * One **acceptor** thread hands connections to per-connection threads.
 //! * Each **connection** thread speaks the wire protocol and pushes
 //!   accepted batches through the single **ingress** critical section.
-//!   Ingress stages each frame's requests into one run per group and
+//!   Ingress stages each frame's requests into one run per lane and
 //!   pushes every run with a single [`ring::Sender::send_batch`]: one
-//!   ring lock per group per frame, not per request. The worker
+//!   ring lock per lane per frame, not per request. The worker
 //!   wake-ups leave the critical path entirely: each push returns a
 //!   [`ring::Wake`] guard, and the connection thread drops the frame's
-//!   guards only after its `Ack` is flushed — one wake-up per group per
+//!   guards only after its `Ack` is flushed — one wake-up per lane per
 //!   frame, outside the ingress lock and after the client has its
 //!   answer. Nothing waits on a deferred wake: a sender that finds a
 //!   ring full wakes its worker first, markers go out with the eager
-//!   [`ring::Sender::send`], and a `Drain` wakes every group before it
+//!   [`ring::Sender::send`], and a `Drain` wakes every lane before it
 //!   waits.
-//! * One persistent **group** thread per serving group owns a set of
-//!   [`otc_sim::worker::ShardWorker`] cells, fed by a bounded
-//!   [`otc_util::ring::channel`] — a full queue blocks ingress
-//!   (backpressure) instead of buffering unboundedly. Without a
-//!   [`RebalancePolicy`] there is exactly one group per shard (the
-//!   classic one-thread-per-shard service); with one, cells migrate
-//!   between groups at decision boundaries (see below).
+//! * A serving **group** is the unit the rebalancer places, logs and
+//!   replays. Without a [`RebalancePolicy`] there is exactly one group
+//!   per shard; with one, cells migrate between groups at decision
+//!   boundaries (see below).
+//! * A **lane** is a persistent worker thread: the service runs
+//!   `L = min(groups, available_parallelism())` of them, and group `g`
+//!   runs on lane `g % L`. A lane owns the
+//!   [`otc_sim::worker::ShardWorker`] cells of every group it hosts,
+//!   fed by one bounded [`otc_util::ring::channel`] — a full queue
+//!   blocks ingress (backpressure) instead of buffering unboundedly. In
+//!   the paper's model a cell's cost depends only on the order of its
+//!   own requests, so the thread count is free as long as each cell
+//!   keeps its FIFO order, and the lane ring keeps it.
 //!
 //! **The rebalance boundary protocol.** With
 //! [`ServeConfig::rebalance`] set, every `interval` accepted requests
 //! the ingress (still under its one lock) floats a `Probe` marker down
-//! every group ring and blocks until each group has reported its cells'
-//! cumulative loads — FIFO means each group answers after executing
-//! exactly the boundary prefix, and group threads never take the ingress
+//! every lane ring and blocks until each lane has reported its cells'
+//! cumulative loads — FIFO means each lane answers after executing
+//! exactly the boundary prefix, and lane threads never take the ingress
 //! lock, so the wait always makes progress. The sampled loads drive
 //! [`otc_sim::Rebalancer::on_boundary`] (a pure function of the logged
 //! stream), the decision is appended to the OTCT log as a
-//! `RebalanceRecord`, and the moves are executed as `MigrateOut` /
-//! `Install` marker pairs, one pair per cell whose owner changed (the
-//! greedy planner may move a cell twice in one decision; live, it
-//! migrates once, from its owner before the boundary to its owner
-//! after it). **All** `MigrateOut`s are enqueued before
-//! **any** `Install`, so per-ring FIFO guarantees every group serializes
+//! `RebalanceRecord`, and the moves are executed once per cell whose
+//! owner changed (the greedy planner may move a cell twice in one
+//! decision; live, it migrates once, from its owner before the boundary
+//! to its owner after it). A move between two groups on the same lane
+//! sends nothing: the cell already sits in that lane, and the routing
+//! table alone moves it. A move across lanes is a `MigrateOut` /
+//! `Install` marker pair. **All** `MigrateOut`s are enqueued before
+//! **any** `Install`, so per-ring FIFO guarantees every lane serializes
 //! its outgoing cells before it can block on an incoming handoff — no
 //! rendezvous cycle. Ingress does not wait for installs: a post-boundary
 //! request for a migrated cell sits FIFO-behind the `Install` marker in
@@ -60,7 +68,7 @@
 //! log" and "enqueue to the shard rings" one atomic step, so the
 //! per-shard projection of the logged global order is exactly the FIFO
 //! order each worker consumes. Staging does not loosen this: a request
-//! is logged when it is appended to its group's run, every run is
+//! is logged when it is appended to its lane's run, every run is
 //! flushed before the lock is released, and the runs are also flushed
 //! before any marker is enqueued (a rebalance `Probe`, a snapshot
 //! `Cut`), so each marker still follows exactly the prefix it
@@ -77,9 +85,10 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Cursor, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use otc_core::forest::ShardId;
@@ -140,11 +149,11 @@ pub struct ServeConfig {
     /// TCP port on 127.0.0.1 to bind (0 = ephemeral, read it back with
     /// [`Server::addr`]).
     pub port: u16,
-    /// Capacity of each per-shard ring; a full ring blocks ingress
-    /// (backpressure).
+    /// Capacity of each lane's ring (one ring per worker thread); a full
+    /// ring blocks ingress (backpressure).
     pub queue_capacity: usize,
-    /// Most requests a worker drains per wakeup (bounds per-wakeup
-    /// latency under burst).
+    /// Most ring items a lane worker drains per wakeup, over all the
+    /// cells it hosts (bounds per-wakeup latency under burst).
     pub worker_batch: usize,
     /// Where the request stream is logged.
     pub log: TraceLog,
@@ -153,10 +162,12 @@ pub struct ServeConfig {
     /// replay.
     pub snapshots: Option<SnapshotPolicy>,
     /// Dynamic resharding under live skew. `None` (the default) pins one
-    /// worker thread per shard forever; `Some` spreads the engine's
-    /// cells over [`RebalancePolicy::groups`] worker threads and
+    /// serving group per shard forever; `Some` spreads the engine's
+    /// cells over [`RebalancePolicy::groups`] serving groups and
     /// migrates cells between them at decision boundaries (see the
     /// module docs for the protocol and `DESIGN.md` for invariant #7).
+    /// Either way the groups run on `min(groups,
+    /// available_parallelism())` worker threads.
     pub rebalance: Option<RebalancePolicy>,
     /// Wall-clock stage-latency metrics ([`crate::obs::ServeMetrics`]).
     /// Off by default. Observation is a pure side-band — results, trace
@@ -312,12 +323,12 @@ impl TraceSink {
     }
 }
 
-/// What flows through a group ring: shard-local requests tagged with
+/// What flows through a lane ring: shard-local requests tagged with
 /// their cell, interleaved with markers. Every marker rides the same
-/// FIFO as the requests around it, so a group acts on it after
+/// FIFO as the requests around it, so a lane acts on it after
 /// executing exactly the log prefix the marker addresses — consistent
 /// cuts, consistent load probes and consistent migration points, all
-/// with no pause and no cross-group coordination beyond the enqueue.
+/// with no pause and no cross-lane coordination beyond the enqueue.
 enum Cmd {
     /// One shard-local request for the given cell.
     Req(u32, Request),
@@ -325,17 +336,18 @@ enum Cmd {
     Cut(Arc<Cut>),
     /// Rebalance boundary: report every hosted cell's cumulative load.
     Probe(Arc<Probe>),
-    /// This group loses the cell: serialize it and offer the handoff.
+    /// This lane loses the cell: serialize it and offer the handoff.
     MigrateOut(u32, Arc<Handoff>),
-    /// This group gains the cell: block on the handoff and install it.
+    /// This lane gains the cell: block on the handoff and install it.
     Install(u32, Arc<Handoff>),
-    /// Ring-wait sample (only ever enqueued with metrics on): the worker
-    /// records how long ago ingress staged the stamp (the rest of the
+    /// Ring-wait sample for the given group (only ever enqueued with
+    /// metrics on): the worker records, under the request's group, how
+    /// long ago ingress staged the stamp (the rest of the
     /// frame's staging, the ack up to the post-ack wake, and the time in
     /// the ring) and does nothing else —
     /// unlike every other marker it does **not** flush the buffered run,
     /// so it is invisible to batching and to state.
-    Stamp(Stamp),
+    Stamp(usize, Stamp),
 }
 
 /// One in-flight snapshot cut, shared by every worker. The worker that
@@ -352,15 +364,15 @@ struct Cut {
 /// Ingress state: the single serialization point of the service (see the
 /// module docs for why log + enqueue must be one atomic step).
 struct Ingress {
-    /// The group rings' senders and the trace sink, present from start
+    /// The lane rings' senders and the trace sink, present from start
     /// until shutdown or kill takes both in one lock hold.
     open: Option<(Vec<ring::Sender<Cmd>>, TraceSink)>,
-    /// Per-group runs staged by the current [`Shared::ingest`] call and
-    /// delivered with one `send_batch` per group; empty between calls.
+    /// Per-lane runs staged by the current [`Shared::ingest`] call and
+    /// delivered with one `send_batch` per lane; empty between calls.
     /// They start empty and keep their capacity, so each grows to the
     /// largest frame's share once.
     runs: Vec<Vec<Cmd>>,
-    /// Requests delivered per group over the service lifetime.
+    /// Requests delivered per lane over the service lifetime.
     enqueued: Vec<u64>,
     /// Requests accepted in total.
     accepted: u64,
@@ -377,7 +389,7 @@ struct Shared {
     router: ShardRouter,
     engine_cfg: EngineConfig,
     ingress: Mutex<Ingress>,
-    /// Requests *executed* per shard; workers bump it per batch and
+    /// Requests *executed* per lane; workers bump it per batch and
     /// notify, drain barriers wait on it.
     progress: Mutex<Vec<u64>>,
     progress_cv: Condvar,
@@ -385,7 +397,9 @@ struct Shared {
     poisoned: Mutex<Option<EngineError>>,
     /// Snapshot cadence, when configured.
     snapshots: Option<SnapshotPolicy>,
-    /// Rebalance policy, when configured (group threads need the factory
+    /// Worker threads; group `g` runs on lane [`lane_of`]`(g, lanes)`.
+    lanes: usize,
+    /// Rebalance policy, when configured (lane threads need the factory
     /// and engine config to install migrated cells).
     rebalance: Option<RebalancePolicy>,
     /// Wall-clock stage metrics, when configured. A pure side-band:
@@ -428,17 +442,18 @@ impl Shared {
     /// `routed` and `wakes` are the caller's scratch buffers, reused
     /// across calls.
     ///
-    /// Under the one ingress lock hold, each request is logged and then
-    /// appended to its group's staged run; the runs go out with one
-    /// [`ring::Sender::send_batch`] per group — one ring lock per group
-    /// per frame instead of per request. The pushes do not wake the
+    /// Under the one ingress lock hold, each request is logged, routed to
+    /// its group and appended to the staged run of that group's lane; the
+    /// runs go out with one [`ring::Sender::send_batch`] per lane — one
+    /// ring lock per lane per frame instead of per request. The pushes do
+    /// not wake the
     /// workers: their [`ring::Wake`] guards are appended to `wakes`, for
     /// the caller to drop once the frame's ack is flushed (on every exit
     /// path, errors included, since dropping is what wakes). The runs are
     /// flushed, still under the lock, at three points: before a
     /// rebalance boundary (the `Probe` must follow the boundary prefix,
     /// or `wait_all` would wait on requests nobody sent), before a
-    /// snapshot cut, and at the end of the call. Logging order per group
+    /// snapshot cut, and at the end of the call. Logging order per cell
     /// therefore still equals ring order (invariant #5), and every
     /// marker still follows exactly the prefix it addresses.
     fn ingest(
@@ -465,9 +480,10 @@ impl Shared {
             return Err("service is shutting down".to_string());
         };
         // Ring-wait sampling: one stamp marker rides just ahead of the
-        // call's first request, in that request's group run; the group
-        // records how long it waited. At most one per ingest, so the
-        // sampling cost is amortised across the batch.
+        // call's first request, in that request's lane run; the lane
+        // records how long it waited, under the request's group. At most
+        // one per ingest, so the sampling cost is amortised across the
+        // batch.
         let mut stamp_pending = self.metrics.is_some();
         // Every failure below poisons: the log may already hold records
         // that never reached a ring, so the determinism invariant is
@@ -500,10 +516,10 @@ impl Shared {
                     }
                     None => sid.index(),
                 };
-                let run = &mut runs[group];
+                let run = &mut runs[lane_of(group, self.lanes)];
                 if stamp_pending {
                     stamp_pending = false;
-                    run.push(Cmd::Stamp(clock::stamp()));
+                    run.push(Cmd::Stamp(group, clock::stamp()));
                 }
                 run.push(Cmd::Req(sid.0, local));
                 *accepted += 1;
@@ -562,12 +578,12 @@ impl Shared {
         let probe = Arc::new(Probe::new(reb.table().num_cells()));
         for sender in senders {
             if sender.send(Cmd::Probe(Arc::clone(&probe))).is_err() {
-                return Err("a group worker exited mid-service; the boundary prefix \
+                return Err("a lane worker exited mid-service; the boundary prefix \
                             cannot be sampled"
                     .to_string());
             }
         }
-        // Blocking while holding the ingress lock is safe here: group
+        // Blocking while holding the ingress lock is safe here: lane
         // threads never take the ingress lock, so they always drain
         // their rings down to the probe.
         let loads = probe.wait_all();
@@ -577,20 +593,26 @@ impl Shared {
             .map_err(|e| format!("trace log write of a rebalance record failed: {e}"))?;
         // The planner may move a cell more than once per decision; live,
         // each cell migrates once, from its owner before the boundary to
-        // its owner after it. All MigrateOuts before all Installs (see
-        // module docs).
+        // its owner after it. A move within one lane needs no handoff:
+        // the cell already sits in that lane, and the routing table alone
+        // moves it. All MigrateOuts before all Installs (see module docs).
         let net = net_moves(&owners_before, &record.moves)?;
         let mut pending = Vec::with_capacity(net.len());
         for (cell, src, dst) in net {
+            let src = lane_of(src as usize, self.lanes);
+            let dst = lane_of(dst as usize, self.lanes);
+            if src == dst {
+                continue;
+            }
             let handoff = Arc::new(Handoff::new());
-            if senders[src as usize].send(Cmd::MigrateOut(cell, Arc::clone(&handoff))).is_err() {
-                return Err(format!("group {src} exited with cell {cell} still to migrate"));
+            if senders[src].send(Cmd::MigrateOut(cell, Arc::clone(&handoff))).is_err() {
+                return Err(format!("lane {src} exited with cell {cell} still to migrate"));
             }
             pending.push((cell, dst, handoff));
         }
         for (cell, dst, handoff) in pending {
-            if senders[dst as usize].send(Cmd::Install(cell, handoff)).is_err() {
-                return Err(format!("group {dst} exited with cell {cell} still to install"));
+            if senders[dst].send(Cmd::Install(cell, handoff)).is_err() {
+                return Err(format!("lane {dst} exited with cell {cell} still to install"));
             }
         }
         *migrations += record.moves.len() as u64;
@@ -600,7 +622,7 @@ impl Shared {
     /// Takes a consistent cut under the ingress lock: syncs the log so
     /// the bytes a snapshot will address are durable, prebuilds the OTCS
     /// header for the current log position, and floats one cut marker
-    /// down every shard ring.
+    /// down every lane ring.
     fn register_cut(&self, sink: &mut TraceSink, senders: &[ring::Sender<Cmd>]) -> io::Result<()> {
         sink.sync()?;
         let log = sink.position();
@@ -626,7 +648,7 @@ impl Shared {
 
     /// Blocks until every request accepted so far has been executed.
     ///
-    /// Wakes every group first: a connection thread blocked writing an
+    /// Wakes every lane first: a connection thread blocked writing an
     /// ack to a client that never reads still holds that frame's
     /// [`ring::Wake`] guards, and this barrier must not wait on them.
     fn wait_drained(&self) {
@@ -651,7 +673,9 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    /// One thread per group, each returning the cells it hosts at exit.
+    /// Serving groups (see [`Server::num_groups`]).
+    groups: usize,
+    /// One thread per lane, each returning the cells it hosts at exit.
     workers: Vec<JoinHandle<Vec<ShardWorker>>>,
 }
 
@@ -664,6 +688,15 @@ impl Server {
     /// staged-but-invalid engine (via
     /// [`ShardedEngine::into_workers`]).
     pub fn start(engine: ShardedEngine<'static>, cfg: ServeConfig) -> io::Result<Server> {
+        Self::start_with_lanes(engine, cfg, lane_cap())
+    }
+
+    /// [`Server::start`] on at most `max_lanes` worker threads.
+    fn start_with_lanes(
+        engine: ShardedEngine<'static>,
+        cfg: ServeConfig,
+        max_lanes: usize,
+    ) -> io::Result<Server> {
         let engine_cfg = engine.config();
         let (router, shard_workers) =
             engine.into_workers().map_err(|e| io::Error::other(e.to_string()))?;
@@ -691,23 +724,25 @@ impl Server {
 
         let shards = shard_workers.len();
         let rebalancer = rebalancer_for(&cfg.rebalance, shards)?;
-        let groups = rebalancer.as_ref().map_or(shards, |r| r.table().num_groups() as usize);
         Self::start_inner(
             router,
             shard_workers,
             engine_cfg,
             sink,
-            vec![0; groups],
+            vec![0; shards],
             0,
             rebalancer,
             0,
             &cfg,
+            max_lanes,
         )
     }
 
     /// The common tail of [`Server::start`] and [`Server::resume`]:
-    /// spin the rings, workers, listener and acceptor around already
-    /// initialised ingress counters and an already positioned sink.
+    /// spin the rings, workers, listener and acceptor around an already
+    /// positioned sink. `executed[cell]` counts the requests each cell
+    /// has already run (replayed on resume), which seed the per-lane
+    /// counters. The service runs `min(groups, max_lanes)` lanes.
     #[allow(
         clippy::too_many_arguments,
         reason = "private seam between start and resume; the arguments are the resume state, \
@@ -718,35 +753,38 @@ impl Server {
         shard_workers: Vec<ShardWorker>,
         engine_cfg: EngineConfig,
         sink: TraceSink,
-        enqueued: Vec<u64>,
+        executed: Vec<u64>,
         accepted: u64,
         rebalancer: Option<Rebalancer>,
         migrations: u64,
         cfg: &ServeConfig,
+        max_lanes: usize,
     ) -> io::Result<Server> {
         if let Some(policy) = &cfg.snapshots {
             fs::create_dir_all(&policy.dir)?;
         }
 
-        // Distribute the cells to their groups: the rebalancer's table
-        // when rebalancing (resume hands in a table already advanced to
-        // the recovery point), identity otherwise.
+        // Distribute the cells to the lanes of their groups: the
+        // rebalancer's table when rebalancing (resume hands in a table
+        // already advanced to the recovery point), identity otherwise.
         let groups =
             rebalancer.as_ref().map_or(shard_workers.len(), |r| r.table().num_groups() as usize);
-        if enqueued.len() != groups {
-            return Err(io::Error::other("one enqueued counter per group (internal)"));
+        let lanes = groups.min(max_lanes).max(1);
+        if executed.len() != shard_workers.len() {
+            return Err(io::Error::other("one executed counter per cell (internal)"));
         }
         // The cost counters start from the cells' totals, so a resumed
         // service keeps counting its lifetime, not its latest run.
         let metrics = cfg.metrics.then(|| {
-            let metrics = ServeMetrics::new(router.num_shards(), groups);
+            let metrics = ServeMetrics::new(router.num_shards(), groups, lanes);
             for w in &shard_workers {
                 metrics.add_cost(w.rounds(), w.paid_rounds(), w.cost());
             }
             Arc::new(metrics)
         });
-        let mut grouped: Vec<BTreeMap<u32, ShardWorker>> =
-            (0..groups).map(|_| BTreeMap::new()).collect();
+        let mut hosted: Vec<BTreeMap<u32, ShardWorker>> =
+            (0..lanes).map(|_| BTreeMap::new()).collect();
+        let mut enqueued = vec![0u64; lanes];
         for worker in shard_workers {
             let cell = worker.shard();
             let group = match &rebalancer {
@@ -757,18 +795,20 @@ impl Server {
                 Some(r) => r.table().owner_of(cell).map_or(0, |g| g as usize),
                 None => cell.index(),
             };
-            let Some(slot) = grouped.get_mut(group) else {
+            if group >= groups {
                 return Err(io::Error::other(format!(
                     "cell {} routed to group {group} of {groups} (internal)",
                     cell.index()
                 )));
-            };
-            slot.insert(cell.0, worker);
+            }
+            let lane = lane_of(group, lanes);
+            enqueued[lane] += executed.get(cell.index()).copied().unwrap_or(0);
+            hosted[lane].insert(cell.0, worker);
         }
 
-        let mut senders = Vec::with_capacity(groups);
-        let mut receivers = Vec::with_capacity(groups);
-        for _ in 0..groups {
+        let mut senders = Vec::with_capacity(lanes);
+        let mut receivers = Vec::with_capacity(lanes);
+        for _ in 0..lanes {
             let (tx, rx) = ring::channel(cfg.queue_capacity.max(1));
             senders.push(tx);
             receivers.push(rx);
@@ -779,7 +819,7 @@ impl Server {
             engine_cfg,
             ingress: Mutex::new(Ingress {
                 open: Some((senders, sink)),
-                runs: (0..groups).map(|_| Vec::new()).collect(),
+                runs: (0..lanes).map(|_| Vec::new()).collect(),
                 enqueued: enqueued.clone(),
                 accepted,
                 rebalancer,
@@ -790,6 +830,7 @@ impl Server {
             progress_cv: Condvar::new(),
             poisoned: Mutex::new(None),
             snapshots: cfg.snapshots.clone(),
+            lanes,
             rebalance: cfg.rebalance.clone(),
             metrics,
             snapshots_written: AtomicU64::new(0),
@@ -798,13 +839,13 @@ impl Server {
         });
 
         let batch = cfg.worker_batch.max(1);
-        let workers: Vec<JoinHandle<Vec<ShardWorker>>> = grouped
+        let workers: Vec<JoinHandle<Vec<ShardWorker>>> = hosted
             .into_iter()
             .zip(receivers)
             .enumerate()
-            .map(|(group, (cells, rx))| {
+            .map(|(lane, (cells, rx))| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(group, cells, &rx, &shared, batch))
+                std::thread::spawn(move || worker_loop(lane, cells, &rx, &shared, batch))
             })
             .collect();
 
@@ -815,7 +856,7 @@ impl Server {
             std::thread::spawn(move || accept_loop(&listener, &shared))
         };
 
-        Ok(Server { addr, shared, acceptor: Some(acceptor), workers })
+        Ok(Server { addr, shared, acceptor: Some(acceptor), groups, workers })
     }
 
     /// The bound loopback address clients connect to.
@@ -830,11 +871,14 @@ impl Server {
         self.shared.router.num_shards()
     }
 
-    /// Number of serving groups (= persistent worker threads). Equal to
-    /// [`Server::num_shards`] unless the service rebalances.
+    /// Number of serving groups: the units the rebalancer places, logs
+    /// and replays. Equal to [`Server::num_shards`] unless the service
+    /// rebalances. The groups run on `min(groups,
+    /// available_parallelism())` worker threads, so this is not a
+    /// thread count.
     #[must_use]
     pub fn num_groups(&self) -> usize {
-        self.workers.len()
+        self.groups
     }
 
     /// A live scrape of the wall-clock metrics surface (`None` when the
@@ -874,7 +918,7 @@ impl Server {
     /// poison), or trace-log I/O failures.
     pub fn shutdown(mut self) -> Result<ServeOutcome, EngineError> {
         self.stop_accepting();
-        // Closing ingress drops the senders; each group drains its ring
+        // Closing ingress drops the senders; each lane drains its ring
         // and exits on disconnect.
         let (sink, accepted, rebalance) = {
             let mut ingress = locked(&self.shared.ingress);
@@ -905,7 +949,7 @@ impl Server {
                 message: "a shard worker thread panicked".to_string(),
             });
         }
-        // Cell order, whatever group each cell ended up on: the outputs
+        // Cell order, whatever lane each cell ended up on: the outputs
         // below are placement-invariant by construction.
         shard_workers.sort_by_key(|w| w.shard().0);
         let windows = shard_workers.iter().flat_map(ShardWorker::windows).collect();
@@ -994,8 +1038,19 @@ impl Server {
     /// match `engine`'s routing, engine errors during replay, and I/O
     /// errors. Unusable *snapshots* are skipped, not errors.
     pub fn resume(
+        engine: ShardedEngine<'static>,
+        cfg: ServeConfig,
+    ) -> io::Result<(Server, ResumeOutcome)> {
+        Self::resume_with_lanes(engine, cfg, lane_cap())
+    }
+
+    /// [`Server::resume`] on at most `max_lanes` worker threads. Neither
+    /// the log nor a snapshot records the lane count, so a service may
+    /// resume on any number of lanes.
+    fn resume_with_lanes(
         mut engine: ShardedEngine<'static>,
         cfg: ServeConfig,
+        max_lanes: usize,
     ) -> io::Result<(Server, ResumeOutcome)> {
         let TraceLog::File(path) = cfg.log.clone() else {
             return Err(io::Error::other(
@@ -1021,8 +1076,8 @@ impl Server {
         let num_shards = engine.num_shards();
         let forest = engine.forest().cloned();
         // Requests are counted per *cell* (cells route statically through
-        // the forest); the per-group counters are derived at the end from
-        // the recovered routing table. Complete rebalance records are
+        // the forest); `start_inner` folds them into the lanes of the
+        // recovered routing table. Complete rebalance records are
         // collected with their end offsets, so the ones a snapshot's log
         // prefix covers can seed the rebalancer without recomputation.
         let mut cell_counts = vec![0u64; num_shards];
@@ -1159,36 +1214,17 @@ impl Server {
         let writer = TraceWriter::resume_with_flags(file, header, 0, good_records, flags)?;
         let sink = TraceSink::File(writer, path);
 
-        // The per-group counters the recovered service starts from: each
-        // cell's replayed requests count toward the group that owns the
-        // cell *now* (the recovered table), matching the distribution
-        // start_inner is about to perform.
-        let enqueued = match &rebalancer {
-            Some(reb) => {
-                let groups = reb.table().num_groups() as usize;
-                let mut per_group = vec![0u64; groups];
-                for (cell, &count) in cell_counts.iter().enumerate() {
-                    let group =
-                        reb.table().owner_of(ShardId(cell as u32)).map_or(0, |g| g as usize);
-                    if let Some(slot) = per_group.get_mut(group) {
-                        *slot += count;
-                    }
-                }
-                per_group
-            }
-            None => cell_counts,
-        };
-
         let server = Self::start_inner(
             router,
             shard_workers,
             engine_cfg,
             sink,
-            enqueued,
+            cell_counts,
             good_records,
             rebalancer,
             migrations,
             &cfg,
+            max_lanes,
         )?;
         Ok((
             server,
@@ -1203,14 +1239,14 @@ impl Server {
     }
 }
 
-/// Delivers every group's staged run with one [`ring::Sender::send_batch`]
+/// Delivers every lane's staged run with one [`ring::Sender::send_batch`]
 /// and credits `enqueued` with the requests of each run that arrived —
 /// only then, so [`Shared::wait_drained`] never waits for a run that
 /// failed to send. Each push's deferred wake is appended to `wakes`;
 /// empty runs are skipped, so they add none.
 ///
 /// # Errors
-/// The first group whose worker is gone, naming the cell of its first
+/// The first lane whose worker is gone, naming the cell of its first
 /// undelivered request.
 fn flush_runs(
     senders: &[ring::Sender<Cmd>],
@@ -1218,7 +1254,7 @@ fn flush_runs(
     enqueued: &mut [u64],
     wakes: &mut Vec<ring::Wake<Cmd>>,
 ) -> Result<(), (Option<ShardId>, String)> {
-    for (group, ((sender, run), done)) in senders.iter().zip(runs).zip(enqueued).enumerate() {
+    for (lane, ((sender, run), done)) in senders.iter().zip(runs).zip(enqueued).enumerate() {
         if run.is_empty() {
             continue;
         }
@@ -1232,12 +1268,26 @@ fn flush_runs(
             });
             return Err((
                 cell,
-                format!("group {group} worker is gone; logged requests were dropped"),
+                format!("lane {lane} worker is gone; logged requests were dropped"),
             ));
         }
         *done += requests;
     }
     Ok(())
+}
+
+/// The most worker threads a service starts: the host's parallelism,
+/// read once per process (`available_parallelism` reads cgroup files,
+/// too slow to repeat at every start).
+fn lane_cap() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// The lane (worker thread) that runs serving group `group` out of
+/// `lanes`.
+fn lane_of(group: usize, lanes: usize) -> usize {
+    group % lanes
 }
 
 /// Builds the rebalancer a fresh service starts from: round-robin
@@ -1257,50 +1307,54 @@ fn rebalancer_for(
     }
 }
 
-/// Per-group worker thread: drain the ring in FIFO batches, drive the
+/// Lane worker thread: drain the ring in FIFO batches, drive the
 /// hosted [`ShardWorker`] cells through the request runs between
 /// markers, publish progress; exit (returning the cells it
 /// ended up hosting) when ingress closes the channel.
+///
+/// The cells of several groups share the ring, so their requests
+/// interleave. Between two markers each cell's requests are bucketed in
+/// FIFO order and each bucket runs once; a marker runs every bucket
+/// first, so it acts after exactly the prefix FIFO put before it.
 fn worker_loop(
-    group: usize,
+    lane: usize,
     mut cells: BTreeMap<u32, ShardWorker>,
     rx: &ring::Receiver<Cmd>,
     shared: &Shared,
     batch: usize,
 ) -> Vec<ShardWorker> {
     let mut buf: Vec<Cmd> = Vec::with_capacity(batch);
-    let mut scratch: Vec<Request> = Vec::with_capacity(batch);
+    // `buckets[cell]` holds the cell's pending requests; `pending` lists
+    // the cells with a non-empty bucket, in first-arrival order.
+    let mut buckets: Vec<Vec<Request>> =
+        (0..shared.router.num_shards()).map(|_| Vec::new()).collect();
+    let mut pending: Vec<u32> = Vec::new();
     loop {
         buf.clear();
         if rx.recv_batch(&mut buf, batch).is_err() {
             return cells.into_values().collect(); // disconnected and drained
         }
         let mut executed = 0u64;
-        // Consecutive requests for the same cell run as one batch; any
-        // marker (and any cell switch) flushes the buffered run first, so
-        // every marker acts after exactly the prefix FIFO put before it.
-        let mut run_cell: Option<u32> = None;
-        scratch.clear();
         for cmd in buf.drain(..) {
             match cmd {
                 Cmd::Req(cell, r) => {
-                    if run_cell != Some(cell) {
-                        executed += run_buffered(&mut cells, run_cell, &mut scratch, shared);
-                        run_cell = Some(cell);
+                    // The router only emits cells below `num_shards`.
+                    let bucket = &mut buckets[cell as usize];
+                    if bucket.is_empty() {
+                        pending.push(cell);
                     }
-                    scratch.push(r);
+                    bucket.push(r);
                 }
                 // A stamp is *not* a marker: it records and vanishes
-                // without flushing the buffered run, so batching — and
+                // without running the buckets, so batching — and
                 // therefore execution — is identical with metrics off.
-                Cmd::Stamp(stamp) => {
+                Cmd::Stamp(group, stamp) => {
                     if let Some(m) = &shared.metrics {
                         m.record_ring_wait(group, stamp.elapsed_nanos());
                     }
                 }
                 marker => {
-                    executed += run_buffered(&mut cells, run_cell, &mut scratch, shared);
-                    run_cell = None;
+                    executed += run_pending(&mut cells, &mut buckets, &mut pending, shared);
                     match marker {
                         Cmd::Req(..) | Cmd::Stamp(..) => {} // unreachable: handled above
                         Cmd::Cut(cut) => emit_sections(&cells, &cut, shared),
@@ -1310,7 +1364,7 @@ fn worker_loop(
                         Cmd::MigrateOut(cell, handoff) => {
                             let payload = match cells.remove(&cell) {
                                 Some(worker) => detach_cell(&worker),
-                                None => Err("the group does not host the cell".to_string()),
+                                None => Err("the lane does not host the cell".to_string()),
                             };
                             if let Err(e) = &payload {
                                 shared.set_poison(
@@ -1351,13 +1405,13 @@ fn worker_loop(
                 }
             }
         }
-        executed += run_buffered(&mut cells, run_cell, &mut scratch, shared);
+        executed += run_pending(&mut cells, &mut buckets, &mut pending, shared);
         // Progress counts *consumed* requests even past a violation, so
         // drain barriers and backpressure keep moving while the error
         // propagates.
         {
             let mut progress = locked(&shared.progress);
-            if let Some(slot) = progress.get_mut(group) {
+            if let Some(slot) = progress.get_mut(lane) {
                 *slot += executed;
             }
             shared.progress_cv.notify_all();
@@ -1365,7 +1419,21 @@ fn worker_loop(
     }
 }
 
-/// Runs (and clears) one buffered run of requests on the cell that
+/// Runs every pending bucket once, in first-arrival order, and empties
+/// them. Returns how many requests were consumed.
+fn run_pending(
+    cells: &mut BTreeMap<u32, ShardWorker>,
+    buckets: &mut [Vec<Request>],
+    pending: &mut Vec<u32>,
+    shared: &Shared,
+) -> u64 {
+    pending
+        .drain(..)
+        .map(|cell| run_buffered(cells, cell, &mut buckets[cell as usize], shared))
+        .sum()
+}
+
+/// Runs (and clears) one bucket of requests on the cell that
 /// buffered them, poisoning the service on the first violation. With
 /// metrics on, it times the run and adds the cell's cost deltas to the
 /// cost counters — before the caller publishes progress, so a scrape
@@ -1374,7 +1442,7 @@ fn worker_loop(
 /// bug, and both poison).
 fn run_buffered(
     cells: &mut BTreeMap<u32, ShardWorker>,
-    cell: Option<u32>,
+    cell: u32,
     scratch: &mut Vec<Request>,
     shared: &Shared,
 ) -> u64 {
@@ -1382,17 +1450,13 @@ fn run_buffered(
     if n == 0 {
         return 0;
     }
-    let Some(cell) = cell else {
-        scratch.clear();
-        return n; // unreachable: requests always tag their cell
-    };
     let Some(worker) = cells.get_mut(&cell) else {
-        // The routing table said this group owns the cell but it does
+        // The routing table said this lane hosts the cell but it does
         // not: a migration protocol bug. Poison loudly; still count the
         // requests as consumed so drain barriers keep moving.
         shared.set_poison(
             Some(ShardId(cell)),
-            format!("request routed to a group that does not host cell {cell}"),
+            format!("request routed to a lane that does not host cell {cell}"),
         );
         scratch.clear();
         return n;
@@ -1422,7 +1486,7 @@ fn run_buffered(
     n
 }
 
-/// Serializes every cell this group hosts into `cut`; the group that
+/// Serializes every cell this lane hosts into `cut`; the lane that
 /// delivers the last missing section assembles the snapshot and writes
 /// it. A poisoned cell or a serialization failure silently aborts the
 /// cut — snapshots are best-effort, the log is the source of truth.
@@ -1634,35 +1698,253 @@ fn connection_loop(
             }
             None => writer.flush()?,
         }
-        // The client has its ack: only now wake the groups this frame fed.
+        // The client has its ack: only now wake the lanes this frame fed.
         wakes.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
     use otc_core::forest::Forest;
-    use otc_core::policy::CachePolicy;
+    use otc_core::policy::{CachePolicy, PolicyFactory};
     use otc_core::tc::{TcConfig, TcFast};
     use otc_core::tree::{NodeId, Tree};
+    use otc_sim::{replay_trace_rebalancing, RebalanceConfig, RebalanceReplay};
+    use otc_util::SplitMix64;
 
     use super::*;
+    use crate::rebalance::initial_table;
+    use crate::Client;
 
     fn factory(tree: Arc<Tree>, _s: ShardId) -> Box<dyn CachePolicy> {
         Box::new(TcFast::new(tree, TcConfig::new(2, 6)))
     }
 
+    /// The lane tests' service: the cells of a 12-leaf star in 4 groups,
+    /// a placement decision every 150 requests.
+    const GROUPS: u32 = 4;
+
+    fn lane_tree() -> Tree {
+        Tree::star(12)
+    }
+
+    fn lane_engine(forest: &Forest) -> ShardedEngine<'static> {
+        let cfg = EngineConfig::new(2).audit_every(64).telemetry(true);
+        ShardedEngine::new(forest.clone(), &factory, cfg)
+    }
+
+    fn lane_rebalance() -> RebalancePolicy {
+        let rcfg = RebalanceConfig::new(150).threshold_x1000(1000);
+        RebalancePolicy::new(
+            GROUPS,
+            rcfg,
+            Arc::new(factory) as Arc<dyn PolicyFactory + Send + Sync>,
+        )
+    }
+
+    /// A hot node that jumps every 200 requests, so loads shift and the
+    /// planner keeps moving cells.
+    fn shifting_hot(universe: usize, len: usize, seed: u64) -> Vec<Request> {
+        let mut rng = SplitMix64::new(seed);
+        let mut hot = 0;
+        (0..len)
+            .map(|i| {
+                if i % 200 == 0 {
+                    hot = rng.index(universe) as u32;
+                }
+                let v =
+                    if rng.chance(0.6) { NodeId(hot) } else { NodeId(rng.index(universe) as u32) };
+                if rng.chance(0.3) {
+                    Request::neg(v)
+                } else {
+                    Request::pos(v)
+                }
+            })
+            .collect()
+    }
+
+    /// One client, fixed chunking: the accepted order, and with it the
+    /// rebalance schedule, is the request vector itself.
+    fn drive(server: &Server, reqs: &[Request]) {
+        let mut client = Client::connect(server.addr()).expect("connect");
+        for chunk in reqs.chunks(37) {
+            client.submit(chunk).expect("submit");
+        }
+        client.drain().expect("drain");
+        client.bye().expect("bye");
+    }
+
+    /// A fresh scratch directory per call.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let id = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("otc_lanes_{tag}_{}_{id}", std::process::id()));
+        fs::create_dir_all(&dir).expect("scratch dir");
+        dir
+    }
+
+    /// Every `snap-*.otcs` file in `dir`, by name.
+    fn snapshot_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .expect("snapshot dir")
+            .flatten()
+            .map(|e| (e.file_name().to_string_lossy().into_owned(), e.path()))
+            .filter(|(name, _)| name.starts_with("snap-") && name.ends_with(".otcs"))
+            .map(|(name, path)| (name, fs::read(path).expect("snapshot file")))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Replays a logged trace on a fresh engine and rebalancer.
+    fn replay(forest: &Forest, bytes: &[u8]) -> (RebalanceReplay, Vec<Report>, Timeline) {
+        let mut engine = lane_engine(forest);
+        let mut reader = TraceReader::new(Cursor::new(bytes)).expect("logged header");
+        let mut reb = Rebalancer::new(
+            lane_rebalance().config,
+            initial_table(forest.num_shards(), GROUPS).expect("shape"),
+        );
+        let out = replay_trace_rebalancing(&mut engine, &mut reader, &mut reb, &mut Vec::new())
+            .expect("replay verifies the live schedule");
+        let timeline = engine.timeline();
+        (out, engine.into_reports().expect("verified replay"), timeline)
+    }
+
+    /// The lane count is free: a rebalancing, snapshotting service with
+    /// 4 groups on 1, 2 and 4 lanes produces byte-identical reports, log,
+    /// snapshots and rebalance summary, each equal to the replay of its
+    /// own log. At 2 lanes the schedule holds both a same-lane move (no
+    /// handoff) and a cross-lane one (`MigrateOut`/`Install`).
+    #[test]
+    fn lane_count_never_changes_results() {
+        let tree = lane_tree();
+        let forest = Forest::cells(&tree);
+        let stream = shifting_hot(tree.len(), 2400, 11);
+        let mut runs = Vec::new();
+        for lanes in [1, 2, 4] {
+            let dir = scratch_dir("differential");
+            let cfg = ServeConfig {
+                snapshots: Some(SnapshotPolicy { dir: dir.clone(), every: 173 }),
+                rebalance: Some(lane_rebalance()),
+                ..ServeConfig::default()
+            };
+            let server =
+                Server::start_with_lanes(lane_engine(&forest), cfg, lanes).expect("bind loopback");
+            assert_eq!(server.workers.len(), lanes);
+            assert_eq!(server.num_groups(), GROUPS as usize);
+            drive(&server, &stream);
+            let outcome = server.shutdown().expect("clean shutdown");
+            let snapshots = snapshot_files(&dir);
+            fs::remove_dir_all(&dir).ok();
+            assert!(!snapshots.is_empty(), "the cadence took snapshots");
+            assert_eq!(outcome.snapshots_written, snapshots.len() as u64);
+
+            let bytes = outcome.trace_bytes.clone().expect("memory log");
+            let (out, per_shard, timeline) = replay(&forest, &bytes);
+            let summary = outcome.rebalance.clone().expect("rebalancing");
+            assert_eq!(per_shard, outcome.per_shard, "{lanes} lanes: live ≡ replay");
+            assert_eq!(timeline, outcome.timeline);
+            assert_eq!(out.verified, summary.boundaries);
+            assert_eq!(
+                out.schedule.iter().map(|r| r.moves.len() as u64).sum::<u64>(),
+                summary.migrations
+            );
+
+            if lanes == 2 {
+                let (mut same, mut cross) = (0, 0);
+                let mut owners =
+                    initial_table(forest.num_shards(), GROUPS).expect("shape").owners().to_vec();
+                for record in &out.schedule {
+                    for (_, src, dst) in net_moves(&owners, &record.moves).expect("known cells") {
+                        if lane_of(src as usize, 2) == lane_of(dst as usize, 2) {
+                            same += 1;
+                        } else {
+                            cross += 1;
+                        }
+                    }
+                    for &(cell, dst) in &record.moves {
+                        owners[cell as usize] = dst;
+                    }
+                }
+                assert!(same > 0, "no same-lane move: the in-lane path went unexercised");
+                assert!(cross > 0, "no cross-lane move: the handoff path went unexercised");
+            }
+            runs.push((outcome.per_shard, bytes, snapshots, summary, outcome.timeline));
+        }
+        for run in &runs[1..] {
+            assert!(run.0 == runs[0].0, "per-shard reports differ across lane counts");
+            assert!(run.1 == runs[0].1, "OTCT logs differ across lane counts");
+            assert!(run.2 == runs[0].2, "snapshots differ across lane counts");
+            assert_eq!(run.3, runs[0].3, "rebalance summaries differ across lane counts");
+            assert!(run.4 == runs[0].4, "telemetry differs across lane counts");
+        }
+    }
+
+    /// Neither OTCT nor OTCS records the lane count: a service killed on
+    /// 2 lanes resumes on 1, and one killed on 1 resumes on 2, each
+    /// bit-identical to an uninterrupted run (invariant #6).
+    #[test]
+    fn resume_across_lane_counts_matches_the_uninterrupted_run() {
+        let tree = lane_tree();
+        let forest = Forest::cells(&tree);
+        let stream = shifting_hot(tree.len(), 1500, 29);
+        let (pre, post) = stream.split_at(1000);
+        let serve_cfg = |dir: &Path| ServeConfig {
+            log: TraceLog::File(dir.join("serve.otct")),
+            snapshots: Some(SnapshotPolicy { dir: dir.join("snaps"), every: 211 }),
+            rebalance: Some(lane_rebalance()),
+            ..ServeConfig::default()
+        };
+
+        let twin_dir = scratch_dir("twin");
+        let server = Server::start_with_lanes(lane_engine(&forest), serve_cfg(&twin_dir), 4)
+            .expect("bind loopback");
+        drive(&server, pre);
+        drive(&server, post);
+        let twin = server.shutdown().expect("clean shutdown");
+        let twin_log = fs::read(twin_dir.join("serve.otct")).expect("twin log");
+        fs::remove_dir_all(&twin_dir).ok();
+
+        for (kill_lanes, resume_lanes) in [(2, 1), (1, 2)] {
+            let dir = scratch_dir("resume");
+            let server =
+                Server::start_with_lanes(lane_engine(&forest), serve_cfg(&dir), kill_lanes)
+                    .expect("bind loopback");
+            drive(&server, pre);
+            server.kill().expect("kill syncs the log");
+            let (server, resumed) =
+                Server::resume_with_lanes(lane_engine(&forest), serve_cfg(&dir), resume_lanes)
+                    .expect("resume");
+            assert_eq!(server.workers.len(), resume_lanes);
+            assert_eq!(resumed.requests_recovered, pre.len() as u64);
+            assert!(resumed.snapshot_records.is_some(), "a snapshot should have been usable");
+            drive(&server, post);
+            let recovered = server.shutdown().expect("clean shutdown");
+            let log = fs::read(dir.join("serve.otct")).expect("recovered log");
+            fs::remove_dir_all(&dir).ok();
+
+            let at = format!("killed on {kill_lanes} lanes, resumed on {resume_lanes}");
+            assert_eq!(recovered.requests_served, twin.requests_served, "{at}");
+            assert!(recovered.per_shard == twin.per_shard, "{at}: per-shard reports differ");
+            assert!(recovered.report == twin.report, "{at}: aggregate differs");
+            assert!(recovered.timeline == twin.timeline, "{at}: telemetry differs");
+            assert_eq!(recovered.rebalance, twin.rebalance, "{at}");
+            assert!(log == twin_log, "{at}: the logs differ");
+        }
+    }
+
     /// A connection thread stuck writing an ack to a client that never
     /// reads keeps that frame's wake guards alive. A `Drain` from another
-    /// client must still return: `wait_drained` wakes every group first.
+    /// client must still return: `wait_drained` wakes every lane first.
     #[test]
     fn held_wake_guards_cannot_stall_a_drain() {
         let forest = Forest::partition(&Tree::star(64), 4);
         let engine = ShardedEngine::new(forest, &factory, EngineConfig::new(2));
         let server = Server::start(engine, ServeConfig::default()).expect("bind loopback");
-        // Let every group worker park on its empty ring first.
+        // Let every lane worker park on its empty ring first.
         std::thread::sleep(Duration::from_millis(50));
         let requests: Vec<Request> = (0..64).map(|v| Request::pos(NodeId(v))).collect();
         let (mut routed, mut wakes) = (Vec::new(), Vec::new());

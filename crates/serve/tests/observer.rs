@@ -334,6 +334,11 @@ fn scrape_contains_every_stage_with_samples() {
         }
     }
     assert_eq!(find("otc_serve_ring_wait_nanos").len(), 3, "one ring-wait series per group");
+    assert_eq!(
+        find("otc_serve_lanes").as_slice(),
+        [&MetricValue::Gauge(3.min(nproc()) as u64)],
+        "the 3 groups run on min(groups, available_parallelism()) lanes"
+    );
     let drained: u64 = find("otc_serve_drain_nanos")
         .iter()
         .map(|v| match v {

@@ -12,7 +12,8 @@
 //!   room) instead of growing, so a slow worker throttles its producers
 //!   rather than letting the queue eat the heap. This is the queue
 //!   between `otc-serve`'s ingress (one thread per client connection)
-//!   and its per-group workers.
+//!   and its lane workers (one thread and one ring per lane, each
+//!   running several serving groups).
 //!
 //! The workspace forbids `unsafe`, so the channel serialises access with a
 //! `Mutex` + two `Condvar`s rather than atomics-over-`UnsafeCell`. Each

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! 1. start an `otc-serve` [`Server`] over a 4-shard forest (one
-//!    persistent worker thread per shard, OTCT trace logging on);
+//!    serving group per shard, run on `min(4, available_parallelism())`
+//!    persistent worker threads, OTCT trace logging on);
 //! 2. connect 4 concurrent clients, each submitting its slice of a
 //!    multi-tenant workload — half synchronous, half pipelined;
 //! 3. drain, say goodbye, shut down: collect per-shard verified
