@@ -15,13 +15,8 @@ use otc_core::policy::CachePolicy;
 use otc_core::request::Request;
 use otc_core::tc::{TcConfig, TcFast};
 use otc_core::tree::Tree;
-use otc_sim::engine::{EngineConfig, ShardedEngine};
-use otc_sim::{run_policy, run_stream, Report};
-
-/// Chunk size used by the batched-driver helpers: large enough to
-/// amortise per-chunk accounting and (in debug builds) the audit hook,
-/// small enough to keep the request chunk in cache.
-pub const STREAM_CHUNK: usize = 4096;
+use otc_sim::engine::EngineConfig;
+use otc_sim::{run_policy, Report};
 
 pub use otc_util::table::{fmt_f64, Table};
 
@@ -46,41 +41,6 @@ pub fn run_tc(tree: &Arc<Tree>, requests: &[Request], alpha: u64, capacity: usiz
         .expect("TC must never violate the protocol")
 }
 
-/// Runs an arbitrary policy through the verified simulator.
-///
-/// # Panics
-/// Panics on protocol violations (all our policies are supposed to be
-/// correct; experiments should fail fast otherwise).
-#[must_use]
-pub fn run_checked(
-    tree: &Arc<Tree>,
-    policy: &mut dyn CachePolicy,
-    requests: &[Request],
-    alpha: u64,
-) -> Report {
-    run_policy(tree, policy, requests, EngineConfig::new(alpha))
-        .expect("policy must not violate the protocol")
-}
-
-/// Runs an arbitrary policy through the *batched* verified driver
-/// (`run_stream`) — the entry point for long request streams. Identical
-/// semantics to [`run_checked`]; cost accounting is amortised per chunk
-/// and debug builds re-audit the policy's internal aggregates at every
-/// chunk boundary.
-///
-/// # Panics
-/// Panics on protocol violations or (debug builds) audit failures.
-#[must_use]
-pub fn run_checked_stream(
-    tree: &Arc<Tree>,
-    policy: &mut dyn CachePolicy,
-    requests: &[Request],
-    alpha: u64,
-) -> Report {
-    run_stream(tree, policy, requests, EngineConfig::new(alpha), STREAM_CHUNK)
-        .expect("policy must not violate the protocol")
-}
-
 /// Total cost of TC on a sequence (convenience).
 #[must_use]
 pub fn tc_total(tree: &Arc<Tree>, requests: &[Request], alpha: u64, capacity: usize) -> u64 {
@@ -102,9 +62,9 @@ pub fn bare_cost(
     requests: &[Request],
     alpha: u64,
 ) -> u64 {
-    let mut engine = ShardedEngine::single_borrowed(tree, policy, EngineConfig::bare(alpha));
-    engine.submit_batch(requests).expect("policy must not violate the protocol");
-    engine.into_report().expect("policy must not violate the protocol").total()
+    run_policy(tree, policy, requests, EngineConfig::bare(alpha))
+        .expect("policy must not violate the protocol")
+        .total()
 }
 
 /// `a / b` with the zero conventions of experiments (0/0 = 1).
@@ -126,27 +86,6 @@ mod tests {
         let report = run_tc(&tree, &reqs, 2, 3);
         assert_eq!(report.cost.service, 2);
         assert_eq!(report.cost.reorg, 2);
-    }
-
-    #[test]
-    fn stream_helper_agrees_with_per_round_driver() {
-        let tree = Arc::new(Tree::kary(2, 4));
-        let mut rng = otc_util::SplitMix64::new(3);
-        let reqs: Vec<Request> = (0..6000)
-            .map(|_| {
-                let v = otc_core::tree::NodeId(rng.index(tree.len()) as u32);
-                if rng.chance(0.4) {
-                    Request::neg(v)
-                } else {
-                    Request::pos(v)
-                }
-            })
-            .collect();
-        let base = run_tc(&tree, &reqs, 3, 6);
-        let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(3, 6));
-        let stream = run_checked_stream(&tree, &mut tc, &reqs, 3);
-        assert_eq!(base.cost.total(), stream.cost.total());
-        assert_eq!(base.flush_events, stream.flush_events);
     }
 
     #[test]

@@ -6,25 +6,24 @@
 //! [`crate::Server`] without stopping it:
 //!
 //! * [`RebalancePolicy`] — what the user configures on
-//!   [`crate::ServeConfig`]: group count, decision cadence, and the
-//!   policy factory that rebuilds a migrated cell's policy at its
-//!   destination;
+//!   [`crate::ServeConfig`]: group count and decision cadence;
 //! * `Probe` (crate-private) — the boundary's load sample: a marker
 //!   floated down every lane ring (like a snapshot cut), so each lane
 //!   reports its cells' cumulative loads after executing *exactly* the
 //!   boundary prefix;
 //! * `Handoff` (crate-private) — the migration rendezvous between two
-//!   lanes (worker threads): the source lane serializes the cell as a
-//!   length-prefixed OTCS section (`detach_cell`) and offers it; the
-//!   destination lane blocks on `Handoff::take` and rebuilds the cell
-//!   (`install_cell`) before touching any request enqueued after the
-//!   boundary. A move between two groups on the same lane needs no
+//!   lanes (worker threads): the source lane removes the cell's
+//!   [`ShardWorker`] from its map and offers it; the destination lane
+//!   blocks on `Handoff::take` and inserts the same worker before
+//!   touching any request enqueued after the boundary. The cell's state
+//!   moves, it is never copied, so a migrated cell is bit-identical by
+//!   construction. A move between two groups on the same lane needs no
 //!   handoff: the routing table alone moves the cell.
 //!
 //! Deadlock-freedom of the rendezvous is purely an ordering argument:
 //! ingress pushes **all** `MigrateOut` markers before **any** `Install`
-//! marker, so per-ring FIFO guarantees every lane serializes its
-//! outgoing cells before it can block waiting for an incoming one.
+//! marker, so per-ring FIFO guarantees every lane offers its outgoing
+//! cells before it can block waiting for an incoming one.
 //! That argument needs each cell to migrate at most once per boundary,
 //! so a decision is first collapsed into one net move per cell
 //! (`net_moves`). `server.rs` documents the full protocol.
@@ -32,10 +31,8 @@
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 
-use otc_core::forest::{RouteError, RoutingTable, ShardId};
+use otc_core::forest::{RouteError, RoutingTable};
 use otc_core::policy::PolicyFactory;
-use otc_core::tree::Tree;
-use otc_sim::engine::EngineConfig;
 use otc_sim::worker::ShardWorker;
 use otc_sim::RebalanceConfig;
 use otc_workloads::rebalance::CellLoad;
@@ -57,11 +54,10 @@ pub struct RebalancePolicy {
     pub groups: u32,
     /// Decision cadence and thresholds (see [`otc_sim::rebalance`]).
     pub config: RebalanceConfig,
-    /// Rebuilds a migrated cell's policy at its destination before the
-    /// serialized state is restored into it. **Must build policies
-    /// identical to the ones the engine was started with** — a different
-    /// factory here would desynchronise migrated cells from the replay
-    /// identity.
+    /// Unread: a migration moves the cell's live worker, so the service
+    /// never builds a policy. It exists only because the `benchmark/`
+    /// package still constructs a `RebalancePolicy` through
+    /// [`RebalancePolicy::new`].
     pub factory: Arc<dyn PolicyFactory + Send + Sync>,
 }
 
@@ -76,7 +72,9 @@ impl fmt::Debug for RebalancePolicy {
 }
 
 impl RebalancePolicy {
-    /// Bundles the three ingredients of a rebalancing service.
+    /// Bundles the groups and the decision cadence of a rebalancing
+    /// service; `factory` is stored but unread (see
+    /// [`RebalancePolicy::factory`]).
     pub fn new(
         groups: u32,
         config: RebalanceConfig,
@@ -190,20 +188,11 @@ impl Probe {
     }
 }
 
-/// What travels between groups when a cell migrates: the cell's full
-/// serialized state, plus the shared tree handle the destination
-/// rebuilds the worker around (the tree is immutable and shared — only
-/// the mutable state is serialized).
-pub(crate) struct HandoffPayload {
-    pub(crate) section: Vec<u8>,
-    pub(crate) tree: Arc<Tree>,
-}
-
 /// The one-shot rendezvous of one cell migration: the source lane
-/// offers the payload (or the reason it could not produce one), the
+/// offers the cell's worker (or the reason it could not), the
 /// destination lane blocks until it arrives.
 pub(crate) struct Handoff {
-    slot: Mutex<Option<Result<HandoffPayload, String>>>,
+    slot: Mutex<Option<Result<ShardWorker, String>>>,
     cv: Condvar,
 }
 
@@ -212,18 +201,18 @@ impl Handoff {
         Self { slot: Mutex::new(None), cv: Condvar::new() }
     }
 
-    /// Source side: publish the serialized cell (or the failure).
-    pub(crate) fn offer(&self, payload: Result<HandoffPayload, String>) {
-        *locked(&self.slot) = Some(payload);
+    /// Source side: publish the cell (or the failure).
+    pub(crate) fn offer(&self, cell: Result<ShardWorker, String>) {
+        *locked(&self.slot) = Some(cell);
         self.cv.notify_all();
     }
 
     /// Destination side: block until the source published.
-    pub(crate) fn take(&self) -> Result<HandoffPayload, String> {
+    pub(crate) fn take(&self) -> Result<ShardWorker, String> {
         let mut slot = locked(&self.slot);
         loop {
             match slot.take() {
-                Some(payload) => return payload,
+                Some(cell) => return cell,
                 None => {
                     slot = self.cv.wait(slot).unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
@@ -232,66 +221,12 @@ impl Handoff {
     }
 }
 
-/// Source side of a migration: serializes the cell's entire state —
-/// policy, verified driver mirror, report, telemetry — as the same
-/// length-prefixed OTCS section a snapshot cut would emit.
-pub(crate) fn detach_cell(worker: &ShardWorker) -> Result<HandoffPayload, String> {
-    if let Some(e) = worker.error() {
-        return Err(format!("cell {} is poisoned: {e}", worker.shard().index()));
-    }
-    let Some(tree) = worker.tree_arc() else {
-        return Err("migration needs workers that own their trees".to_string());
-    };
-    let mut section = Vec::new();
-    worker.snapshot_section(&mut section)?;
-    Ok(HandoffPayload { section, tree })
-}
-
-/// Destination side of a migration: builds a fresh worker for the cell
-/// (same tree handle, a factory-fresh policy) and restores the migrated
-/// section into it — after which the cell's observable state is
-/// bit-identical to the moment the source serialized it.
-pub(crate) fn install_cell(
-    payload: &HandoffPayload,
-    cell: ShardId,
-    factory: &(dyn PolicyFactory + Send + Sync),
-    cfg: EngineConfig,
-) -> Result<ShardWorker, String> {
-    let section = otc_sim::parse_shard_section(&payload.section).map_err(|e| e.to_string())?;
-    let policy = factory.build(Arc::clone(&payload.tree), cell);
-    let mut worker = ShardWorker::fresh(Arc::clone(&payload.tree), policy, cell, cfg);
-    worker.restore_section(&section)?;
-    Ok(worker)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otc_core::policy::CachePolicy;
-    use otc_core::tc::{TcConfig, TcFast};
-    use otc_core::tree::{NodeId, Tree};
-    use otc_core::Request;
-    use otc_sim::engine::{EngineConfig, ShardedEngine};
+    use otc_core::forest::ShardId;
     use otc_util::SplitMix64;
     use proptest::prelude::*;
-
-    fn factory(tree: Arc<Tree>, _s: ShardId) -> Box<dyn CachePolicy> {
-        Box::new(TcFast::new(tree, TcConfig::new(2, 3)))
-    }
-
-    fn reqs(n: usize, len: usize, seed: u64) -> Vec<Request> {
-        let mut rng = SplitMix64::new(seed);
-        (0..len)
-            .map(|_| {
-                let v = NodeId(rng.index(n) as u32);
-                if rng.chance(0.3) {
-                    Request::neg(v)
-                } else {
-                    Request::pos(v)
-                }
-            })
-            .collect()
-    }
 
     #[test]
     fn initial_table_is_round_robin_and_validated() {
@@ -300,88 +235,6 @@ mod tests {
         assert_eq!(t.epoch(), 0);
         assert!(initial_table(2, 3).is_err(), "more groups than cells");
         assert!(initial_table(3, 0).is_err(), "zero groups");
-    }
-
-    #[test]
-    fn detach_install_round_trips_a_live_cell() {
-        // Run a cell halfway, migrate it, run the rest; a never-migrated
-        // twin running the same stream must agree exactly.
-        let tree = Tree::star(9);
-        let forest = otc_core::forest::Forest::cells(&tree);
-        let stream = reqs(tree.len(), 400, 11);
-        let cfg = EngineConfig::new(2).telemetry(true);
-
-        let make_workers = || {
-            let engine = ShardedEngine::new(forest.clone(), &factory, cfg);
-            engine.into_workers().expect("fresh engine detaches").1
-        };
-        let mut twin = make_workers().remove(0);
-        let mut live = make_workers().remove(0);
-        let cell0: Vec<Request> = stream
-            .iter()
-            .map(|&r| forest.route_request(r))
-            .filter(|(sid, _)| sid.index() == 0)
-            .map(|(_, local)| local)
-            .collect();
-        let (first, rest) = cell0.split_at(cell0.len() / 2);
-
-        for &r in first {
-            twin.step(r).expect("valid");
-            live.step(r).expect("valid");
-        }
-        let payload = detach_cell(&live).expect("serializes");
-        let factory_arc: Arc<dyn PolicyFactory + Send + Sync> = Arc::new(factory);
-        let mut migrated =
-            install_cell(&payload, live.shard(), factory_arc.as_ref(), cfg).expect("installs");
-        drop(live);
-        assert_eq!(migrated.cell_load(), twin.cell_load(), "state survives the hop");
-        for &r in rest {
-            twin.step(r).expect("valid");
-            migrated.step(r).expect("valid");
-        }
-        assert_eq!(migrated.cell_load(), twin.cell_load());
-        assert_eq!(
-            migrated.report_snapshot(),
-            twin.report_snapshot(),
-            "reports are placement-invariant"
-        );
-        assert_eq!(migrated.windows(), twin.windows(), "telemetry survives the hop");
-    }
-
-    #[test]
-    fn an_empty_cell_migrates_cleanly() {
-        // Edge case: a cell that never executed a request (the workload
-        // never touched its subtrie) still detaches and installs, and
-        // keeps serving after the hop.
-        let tree = Tree::star(5);
-        let forest = otc_core::forest::Forest::cells(&tree);
-        let cfg = EngineConfig::new(2).telemetry(true);
-        let engine = ShardedEngine::new(forest.clone(), &factory, cfg);
-        let idle = engine
-            .into_workers()
-            .expect("fresh engine detaches")
-            .1
-            .into_iter()
-            .next()
-            .expect("at least one cell");
-        let payload = detach_cell(&idle).expect("an idle cell serializes");
-        let factory_arc: Arc<dyn PolicyFactory + Send + Sync> = Arc::new(factory);
-        let mut migrated =
-            install_cell(&payload, idle.shard(), factory_arc.as_ref(), cfg).expect("installs");
-        assert_eq!(migrated.cell_load(), idle.cell_load());
-        assert_eq!(migrated.report_snapshot(), idle.report_snapshot());
-        migrated.step(Request::pos(NodeId(1))).expect("still serves after the hop");
-    }
-
-    #[test]
-    fn corrupt_handoffs_are_typed_errors() {
-        let tree = Arc::new(Tree::star(4));
-        let payload = HandoffPayload { section: vec![0xff; 3], tree: Arc::clone(&tree) };
-        let factory_arc: Arc<dyn PolicyFactory + Send + Sync> = Arc::new(factory);
-        let err = install_cell(&payload, ShardId(0), factory_arc.as_ref(), EngineConfig::new(2))
-            .err()
-            .expect("corrupt section must be refused");
-        assert!(!err.is_empty());
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! sends nothing: the cell already sits in that lane, and the routing
 //! table alone moves it. A move across lanes is a `MigrateOut` /
 //! `Install` marker pair. **All** `MigrateOut`s are enqueued before
-//! **any** `Install`, so per-ring FIFO guarantees every lane serializes
+//! **any** `Install`, so per-ring FIFO guarantees every lane offers
 //! its outgoing cells before it can block on an incoming handoff — no
 //! rendezvous cycle. Ingress does not wait for installs: a post-boundary
 //! request for a migrated cell sits FIFO-behind the `Install` marker in
@@ -106,7 +106,7 @@ use otc_workloads::trace::{
 };
 
 use crate::obs::ServeMetrics;
-use crate::rebalance::{detach_cell, install_cell, net_moves, Handoff, Probe, RebalancePolicy};
+use crate::rebalance::{net_moves, Handoff, Probe, RebalancePolicy};
 use crate::wire::{self, Message, WIRE_VERSION};
 
 /// Where the server logs the accepted request stream as an OTCT binary
@@ -336,9 +336,9 @@ enum Cmd {
     Cut(Arc<Cut>),
     /// Rebalance boundary: report every hosted cell's cumulative load.
     Probe(Arc<Probe>),
-    /// This lane loses the cell: serialize it and offer the handoff.
+    /// This lane loses the cell: remove its worker and offer it.
     MigrateOut(u32, Arc<Handoff>),
-    /// This lane gains the cell: block on the handoff and install it.
+    /// This lane gains the cell: block on the handoff and host the worker.
     Install(u32, Arc<Handoff>),
     /// Ring-wait sample for the given group (only ever enqueued with
     /// metrics on): the worker records, under the request's group, how
@@ -399,9 +399,6 @@ struct Shared {
     snapshots: Option<SnapshotPolicy>,
     /// Worker threads; group `g` runs on lane [`lane_of`]`(g, lanes)`.
     lanes: usize,
-    /// Rebalance policy, when configured (lane threads need the factory
-    /// and engine config to install migrated cells).
-    rebalance: Option<RebalancePolicy>,
     /// Wall-clock stage metrics, when configured. A pure side-band:
     /// nothing read from it ever flows into routing, logging, draining
     /// or rebalancing (invariant #8).
@@ -831,7 +828,6 @@ impl Server {
             poisoned: Mutex::new(None),
             snapshots: cfg.snapshots.clone(),
             lanes,
-            rebalance: cfg.rebalance.clone(),
             metrics,
             snapshots_written: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
@@ -1362,11 +1358,10 @@ fn worker_loop(
                             probe.fill(cells.iter().map(|(&c, w)| (c as usize, w.cell_load())));
                         }
                         Cmd::MigrateOut(cell, handoff) => {
-                            let payload = match cells.remove(&cell) {
-                                Some(worker) => detach_cell(&worker),
-                                None => Err("the lane does not host the cell".to_string()),
-                            };
-                            if let Err(e) = &payload {
+                            let moved = cells
+                                .remove(&cell)
+                                .ok_or_else(|| "the lane does not host the cell".to_string());
+                            if let Err(e) = &moved {
                                 shared.set_poison(
                                     Some(ShardId(cell)),
                                     format!("cell {cell} migration failed at the source: {e}"),
@@ -1374,31 +1369,14 @@ fn worker_loop(
                             }
                             // Always offer — even the failure — so the
                             // destination never blocks forever.
-                            handoff.offer(payload);
+                            handoff.offer(moved);
                         }
                         Cmd::Install(cell, handoff) => {
                             // An Err take means the source already
                             // poisoned with the root cause; nothing to
                             // install here.
-                            if let Ok(payload) = handoff.take() {
-                                let built = match shared.rebalance.as_ref() {
-                                    Some(policy) => install_cell(
-                                        &payload,
-                                        ShardId(cell),
-                                        policy.factory.as_ref(),
-                                        shared.engine_cfg,
-                                    ),
-                                    None => Err("migration without a rebalance policy".to_string()),
-                                };
-                                match built {
-                                    Ok(worker) => {
-                                        cells.insert(cell, worker);
-                                    }
-                                    Err(e) => shared.set_poison(
-                                        Some(ShardId(cell)),
-                                        format!("cell {cell} install failed: {e}"),
-                                    ),
-                                }
+                            if let Ok(worker) = handoff.take() {
+                                cells.insert(cell, worker);
                             }
                         }
                     }
@@ -1710,7 +1688,7 @@ mod tests {
 
     use otc_core::forest::Forest;
     use otc_core::policy::{CachePolicy, PolicyFactory};
-    use otc_core::tc::{TcConfig, TcFast};
+    use otc_core::tc::{TcConfig, TcFast, TcReference};
     use otc_core::tree::{NodeId, Tree};
     use otc_sim::{replay_trace_rebalancing, RebalanceConfig, RebalanceReplay};
     use otc_util::SplitMix64;
@@ -1732,8 +1710,12 @@ mod tests {
     }
 
     fn lane_engine(forest: &Forest) -> ShardedEngine<'static> {
+        lane_engine_over(forest, &factory)
+    }
+
+    fn lane_engine_over(forest: &Forest, factory: &dyn PolicyFactory) -> ShardedEngine<'static> {
         let cfg = EngineConfig::new(2).audit_every(64).telemetry(true);
-        ShardedEngine::new(forest.clone(), &factory, cfg)
+        ShardedEngine::new(forest.clone(), factory, cfg)
     }
 
     fn lane_rebalance() -> RebalancePolicy {
@@ -1801,11 +1783,18 @@ mod tests {
 
     /// Replays a logged trace on a fresh engine and rebalancer.
     fn replay(forest: &Forest, bytes: &[u8]) -> (RebalanceReplay, Vec<Report>, Timeline) {
-        let mut engine = lane_engine(forest);
+        replay_on(lane_engine(forest), bytes)
+    }
+
+    /// Replays a logged trace on `engine` (fresh) and a fresh rebalancer.
+    fn replay_on(
+        mut engine: ShardedEngine<'static>,
+        bytes: &[u8],
+    ) -> (RebalanceReplay, Vec<Report>, Timeline) {
         let mut reader = TraceReader::new(Cursor::new(bytes)).expect("logged header");
         let mut reb = Rebalancer::new(
             lane_rebalance().config,
-            initial_table(forest.num_shards(), GROUPS).expect("shape"),
+            initial_table(engine.num_shards(), GROUPS).expect("shape"),
         );
         let out = replay_trace_rebalancing(&mut engine, &mut reader, &mut reb, &mut Vec::new())
             .expect("replay verifies the live schedule");
@@ -1881,6 +1870,63 @@ mod tests {
             assert_eq!(run.3, runs[0].3, "rebalance summaries differ across lane counts");
             assert!(run.4 == runs[0].4, "telemetry differs across lane counts");
         }
+    }
+
+    /// A migration moves the cell's live worker, so it asks nothing of
+    /// the policy: `TcReference` cells cannot be snapshotted, yet a
+    /// 2-lane service over them migrates across lanes, shuts down clean,
+    /// and matches both the replay of its own log and the same service
+    /// on 1 lane.
+    #[test]
+    fn cells_without_snapshots_migrate_across_lanes() {
+        fn reference(tree: Arc<Tree>, _s: ShardId) -> Box<dyn CachePolicy> {
+            Box::new(TcReference::new(tree, TcConfig::new(2, 6)))
+        }
+        let tree = lane_tree();
+        let forest = Forest::cells(&tree);
+        let stream = shifting_hot(tree.len(), 2400, 11);
+        let err = lane_engine_over(&forest, &reference)
+            .write_snapshot(LogPosition { offset: 0, records: 0 }, &mut Vec::new())
+            .expect_err("the premise: TcReference refuses snapshots");
+        assert!(err.message.contains("does not support snapshots"), "{err}");
+
+        let mut runs = Vec::new();
+        for lanes in [1, 2] {
+            let cfg = ServeConfig { rebalance: Some(lane_rebalance()), ..ServeConfig::default() };
+            let server =
+                Server::start_with_lanes(lane_engine_over(&forest, &reference), cfg, lanes)
+                    .expect("bind loopback");
+            drive(&server, &stream);
+            let outcome = server.shutdown().expect("clean shutdown");
+            let bytes = outcome.trace_bytes.clone().expect("memory log");
+            let (out, per_shard, timeline) =
+                replay_on(lane_engine_over(&forest, &reference), &bytes);
+            let summary = outcome.rebalance.clone().expect("rebalancing");
+            assert_eq!(per_shard, outcome.per_shard, "{lanes} lanes: live ≡ replay");
+            assert_eq!(timeline, outcome.timeline, "{lanes} lanes: telemetry ≡ replay");
+            assert_eq!(out.verified, summary.boundaries);
+
+            if lanes == 2 {
+                let mut owners =
+                    initial_table(forest.num_shards(), GROUPS).expect("shape").owners().to_vec();
+                let mut cross = 0;
+                for record in &out.schedule {
+                    let moves = net_moves(&owners, &record.moves).expect("known cells");
+                    cross += moves
+                        .iter()
+                        .filter(|m| lane_of(m.1 as usize, 2) != lane_of(m.2 as usize, 2))
+                        .count();
+                    for &(cell, dst) in &record.moves {
+                        owners[cell as usize] = dst;
+                    }
+                }
+                assert!(cross > 0, "no cross-lane move: the handoff path went unexercised");
+            }
+            runs.push((outcome.per_shard, outcome.timeline, summary));
+        }
+        assert!(runs[1].0 == runs[0].0, "per-shard reports differ across lane counts");
+        assert!(runs[1].1 == runs[0].1, "telemetry differs across lane counts");
+        assert_eq!(runs[1].2, runs[0].2, "rebalance summaries differ across lane counts");
     }
 
     /// Neither OTCT nor OTCS records the lane count: a service killed on

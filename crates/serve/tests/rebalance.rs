@@ -451,9 +451,11 @@ proptest! {
     /// migration schedule the planner produces over `TcReference` cells,
     /// each cell's report equals a solo run of that cell's local request
     /// subsequence on an unsharded single-cell engine — and the schedule
-    /// itself is a pure function of the stream. (`TcReference` refuses
-    /// snapshots, so the *physical* handoff is covered by the `TcFast`
-    /// tests above; here the reference policy pins the costs.)
+    /// itself is a pure function of the stream. (This engine-only run
+    /// never moves a worker between threads; the live handoff is covered
+    /// by the `TcFast` service tests above and, for `TcReference` cells,
+    /// by `cells_without_snapshots_migrate_across_lanes` in `server.rs`.
+    /// Here the reference policy pins the costs.)
     #[test]
     fn rebalanced_cells_match_the_solo_cell_oracle(
         universe in 8usize..14,

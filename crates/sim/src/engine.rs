@@ -212,7 +212,7 @@ impl WindowBase {
 
 /// All per-shard state: the policy, its verified driver (mirror, scratch,
 /// action buffer — all reused across rounds), the accumulating report, and
-/// the batch staging queue (capacity reused across batches). Detachable
+/// the batch routing queue (capacity reused across batches). Detachable
 /// from the engine into a [`crate::worker::ShardWorker`] for long-lived
 /// serving threads.
 pub(crate) struct ShardState<'p> {
@@ -366,7 +366,7 @@ impl ShardState<'_> {
         Ok(())
     }
 
-    /// Drains the staged queue, keeping its storage for the next batch.
+    /// Drains the routed queue, keeping its storage for the next batch.
     pub(crate) fn drain_queue(&mut self, cfg: &EngineConfig) -> Result<(), String> {
         let queue = std::mem::take(&mut self.queue);
         let result = self.drain(&queue, cfg);
@@ -497,9 +497,6 @@ pub struct ShardedEngine<'p> {
     /// forest): lets single-shard batches drain straight from the
     /// caller's slice.
     identity_routing: bool,
-    /// Reusable scratch for [`ShardedEngine::submit_batch`]'s atomic
-    /// rejection: per-shard queue lengths at batch start.
-    batch_marks: Vec<usize>,
 }
 
 impl<'p> ShardedEngine<'p> {
@@ -541,7 +538,7 @@ impl<'p> ShardedEngine<'p> {
     /// The engine over `shards`, routed by `forest` (`None`: identity).
     fn assemble(forest: Option<Forest>, shards: Vec<ShardState<'p>>, cfg: EngineConfig) -> Self {
         let identity_routing = forest.as_ref().is_none_or(Forest::is_identity_routing);
-        Self { forest, shards, cfg, failed: None, identity_routing, batch_marks: Vec::new() }
+        Self { forest, shards, cfg, failed: None, identity_routing }
     }
 
     pub(crate) fn shard_state(
@@ -649,9 +646,7 @@ impl<'p> ShardedEngine<'p> {
     /// Routing errors and the simulator's classic protocol violations; any
     /// violation poisons the engine (subsequent calls return it again).
     pub fn submit(&mut self, req: Request) -> Result<SubmitOutcome, EngineError> {
-        // Anything staged precedes this request: flushing first keeps the
-        // global submission order intact when `stage` and `submit` mix.
-        self.flush_pending()?;
+        self.check_live()?;
         let (s, local) = self.route(req)?;
         let sid = ShardId(s as u32);
         let mut handle = ShardHandle { state: &mut self.shards[s], shard: sid, cfg: self.cfg };
@@ -662,10 +657,9 @@ impl<'p> ShardedEngine<'p> {
     }
 
     /// Submits a batch of globally-addressed requests: routes each into
-    /// its shard's staging queue, then drains all shards in parallel on
+    /// its shard's queue, then drains all shards in parallel on
     /// `cfg.threads` scoped worker threads. Within a shard, requests are
-    /// processed in batch order (after anything already [`ShardedEngine::stage`]d);
-    /// thread count never changes any result.
+    /// processed in batch order; thread count never changes any result.
     ///
     /// Queue storage is retained across batches, so once queues reach the
     /// workload's high-water mark a steady-state batch allocates nothing
@@ -674,75 +668,40 @@ impl<'p> ShardedEngine<'p> {
     ///
     /// # Errors
     /// Routing errors (which reject the whole batch atomically — nothing
-    /// from *this* batch is applied; previously staged requests stay
-    /// staged) and protocol violations (first failing shard wins); any
-    /// violation poisons the engine.
+    /// from it is applied) and protocol violations (first failing shard
+    /// wins); any violation poisons the engine.
     pub fn submit_batch(&mut self, reqs: &[Request]) -> Result<(), EngineError> {
         self.check_live()?;
         let cfg = self.cfg;
         // Fast path: identity routing (the borrowed adapter, or an owned
-        // single shard whose local ids equal the global ids) with nothing
-        // staged drains straight from the caller's slice. A 1-shard
-        // *partitioned* forest can renumber nodes, so it must route like
-        // any other.
-        if self.shards.len() == 1 && self.identity_routing && self.shards[0].queue.is_empty() {
+        // single shard whose local ids equal the global ids) drains
+        // straight from the caller's slice. A 1-shard *partitioned* forest
+        // can renumber nodes, so it must route like any other.
+        if self.shards.len() == 1 && self.identity_routing {
             return match self.shards[0].drain(reqs, &cfg) {
                 Ok(()) => Ok(()),
                 Err(message) => Err(self.fail(ShardId(0), message)),
             };
         }
-        // Remember each queue's pre-batch length (reusable scratch, so
-        // steady-state batches stay allocation-free): a routing error must
-        // unstage exactly this batch's prefix, nothing more.
-        let mut marks = std::mem::take(&mut self.batch_marks);
-        marks.clear();
-        marks.extend(self.shards.iter().map(|st| st.queue.len()));
         for &r in reqs {
             match self.route(r) {
                 Ok((s, local)) => self.shards[s].queue.push(local),
                 Err(e) => {
-                    for (st, &mark) in self.shards.iter_mut().zip(&marks) {
-                        st.queue.truncate(mark);
+                    // Queues are empty between calls, so clearing them
+                    // unroutes exactly this batch.
+                    for st in &mut self.shards {
+                        st.queue.clear();
                     }
-                    self.batch_marks = marks;
                     return Err(e);
                 }
             }
         }
-        self.batch_marks = marks;
-        self.flush_pending()
+        self.drain_queues()
     }
 
-    /// Routes one globally-addressed request into its shard's staging
-    /// queue **without executing it**, and reports where it went. Staged
-    /// requests run on the next [`ShardedEngine::flush_pending`] (or
-    /// [`ShardedEngine::submit_batch`]), in staging order per shard — this
-    /// is how a caller assembles per-shard batches incrementally (e.g.
-    /// from an incoming network stream) and then drains them in parallel
-    /// at a moment of its choosing.
-    ///
-    /// # Errors
-    /// Routing errors (the request is not staged); a poisoned engine
-    /// returns its stored violation.
-    pub fn stage(&mut self, req: Request) -> Result<ShardId, EngineError> {
-        self.check_live()?;
-        let (s, local) = self.route(req)?;
-        self.shards[s].queue.push(local);
-        Ok(ShardId(s as u32))
-    }
-
-    /// Force-drains every shard's staging queue — all [`ShardedEngine::stage`]d
-    /// requests run now, in parallel on `cfg.threads` workers, without
-    /// consuming the engine. A no-op when nothing is staged. This is the
-    /// barrier half of the `stage`/`flush_pending` pair; [`ShardedEngine::map_shards`]
-    /// callers use it to guarantee queues are empty before taking manual
-    /// control of the shards.
-    ///
-    /// # Errors
-    /// Protocol violations (first failing shard wins); any violation
-    /// poisons the engine.
-    pub fn flush_pending(&mut self) -> Result<(), EngineError> {
-        self.check_live()?;
+    /// Drains every shard's queue, in parallel on `cfg.threads` workers;
+    /// the second half of [`ShardedEngine::submit_batch`].
+    fn drain_queues(&mut self) -> Result<(), EngineError> {
         let cfg = self.cfg;
         if self.shards.iter().all(|st| st.queue.is_empty()) {
             return Ok(());
@@ -899,15 +858,12 @@ impl<'p> ShardedEngine<'p> {
     /// shard order. This is the decision input of
     /// [`crate::rebalance::Rebalancer::on_boundary`]: a pure function of
     /// the requests executed so far, so live serving and trace replay
-    /// sample identical values at identical stream positions. Staged
-    /// requests are drained first — a boundary always samples a fully
-    /// executed prefix.
+    /// sample identical values at identical stream positions.
     ///
     /// # Errors
-    /// A poisoned engine, or violations surfaced while draining staged
-    /// requests.
+    /// A poisoned engine.
     pub fn cell_loads(&mut self) -> Result<Vec<otc_workloads::rebalance::CellLoad>, EngineError> {
-        self.flush_pending()?;
+        self.check_live()?;
         Ok(self
             .shards
             .iter()
@@ -949,10 +905,6 @@ impl<'p> ShardedEngine<'p> {
         R: Send,
         F: Fn(&mut ShardHandle<'_, 'p>) -> R + Sync,
     {
-        // Staged requests run before the closures take over, so every
-        // handle observes a drained shard; a violation here poisons the
-        // engine and surfaces through `into_report` like any other.
-        let _ = self.flush_pending();
         let cfg = self.cfg;
         let results = otc_util::parallel_map_mut(&mut self.shards, cfg.threads, |i, st| {
             let mut handle = ShardHandle { state: st, shard: ShardId(i as u32), cfg };
@@ -968,15 +920,12 @@ impl<'p> ShardedEngine<'p> {
     }
 
     /// Finishes every shard (closing open phases into instrumentation) and
-    /// returns the per-shard reports in shard order. Staged requests are
-    /// drained first, so nothing handed to [`ShardedEngine::stage`] can be
-    /// silently dropped by finishing.
+    /// returns the per-shard reports in shard order.
     ///
     /// # Errors
-    /// Returns the stored error if any prior submission failed, or any
-    /// violation surfaced while draining staged requests.
+    /// Returns the stored error if any prior submission failed, or a
+    /// mirror that fails the final subforest walk.
     pub fn into_reports(mut self) -> Result<Vec<Report>, EngineError> {
-        self.flush_pending()?;
         self.sweep_failures()?;
         let cfg = self.cfg;
         self.shards
@@ -1012,22 +961,20 @@ impl<'p> ShardedEngine<'p> {
 
     /// Serializes the engine's complete state into `out` (cleared first)
     /// as an `OTCS` snapshot stamped with `log` — the trace position the
-    /// state corresponds to. Staged requests are drained first so the
-    /// snapshot never hides queued work. Non-consuming: the engine keeps
+    /// state corresponds to. Non-consuming: the engine keeps
     /// running, and restoring the snapshot into a fresh engine then
     /// replaying the log tail reproduces this engine bit-for-bit (see
     /// [`ShardedEngine::recover`]).
     ///
     /// # Errors
-    /// A poisoned engine, violations surfaced while draining staged
-    /// requests, or a shard policy that does not support snapshots
+    /// A poisoned engine, or a shard policy that does not support snapshots
     /// ([`CachePolicy::save_state`]).
     pub fn write_snapshot(
         &mut self,
         log: crate::snapshot::LogPosition,
         out: &mut Vec<u8>,
     ) -> Result<(), EngineError> {
-        self.flush_pending()?;
+        self.check_live()?;
         out.clear();
         let meta = crate::snapshot::SnapshotMeta::of(
             &self.cfg,
@@ -1060,7 +1007,7 @@ impl<'p> ShardedEngine<'p> {
         &mut self,
         snap: &crate::snapshot::EngineSnapshot,
     ) -> Result<(), EngineError> {
-        self.flush_pending()?;
+        self.check_live()?;
         snap.check_compatible(&self.cfg, self.global_len(), self.shards.len())
             .map_err(|e| EngineError { shard: None, message: e.to_string() })?;
         // Pure identity prechecks on every shard before mutating any, so
@@ -1133,19 +1080,16 @@ impl ShardedEngine<'static> {
     /// ingress threads) plus one self-contained, `Send`
     /// [`crate::worker::ShardWorker`] per shard (tree, policy, verified
     /// driver, report and telemetry state — ready to be pinned to a
-    /// persistent worker thread). Anything still staged is drained first,
-    /// so no request is lost at the hand-over. Only owned engines detach
+    /// persistent worker thread). Only owned engines detach
     /// (the borrowed single-shard adapters are tied to their caller's
     /// stack); see `crates/sim/src/worker.rs` for the contract the
     /// workers keep.
     ///
     /// # Errors
-    /// Returns the stored error if the engine is poisoned, or any
-    /// violation surfaced while draining staged requests.
+    /// Returns the stored error if the engine is poisoned.
     pub fn into_workers(
         mut self,
     ) -> Result<(crate::worker::ShardRouter, Vec<crate::worker::ShardWorker>), EngineError> {
-        self.flush_pending()?;
         self.sweep_failures()?;
         let shard_sizes: Vec<u32> =
             self.shards.iter().map(|st| st.tree.get().len() as u32).collect();
@@ -1432,94 +1376,6 @@ mod tests {
         let err = engine.into_report().unwrap_err();
         assert!(err.message.contains("paid"), "unexpected error: {err}");
         assert_eq!(err.shard, Some(ShardId(0)));
-    }
-
-    #[test]
-    fn stage_then_flush_pending_matches_submit_batch() {
-        let tree = Tree::star(12);
-        let reqs = mixed(tree.len(), 3000, 29);
-        let factory = tc_factory(2, 3);
-
-        let mut batched = ShardedEngine::new(
-            Forest::partition(&tree, 4),
-            &factory,
-            EngineConfig::new(2).threads(2),
-        );
-        batched.submit_batch(&reqs).expect("valid");
-
-        let mut staged = ShardedEngine::new(
-            Forest::partition(&tree, 4),
-            &factory,
-            EngineConfig::new(2).threads(2),
-        );
-        // Stage in dribs and drabs with interleaved flushes — any cut of
-        // the same global order must yield the same result.
-        for (i, &r) in reqs.iter().enumerate() {
-            staged.stage(r).expect("in range");
-            if i % 97 == 0 {
-                staged.flush_pending().expect("valid");
-            }
-        }
-        staged.flush_pending().expect("valid");
-        staged.flush_pending().expect("flushing nothing is a no-op");
-        assert_eq!(
-            batched.into_report().expect("valid"),
-            staged.into_report().expect("valid"),
-            "stage + flush_pending ≡ submit_batch"
-        );
-    }
-
-    #[test]
-    fn staged_requests_are_never_silently_dropped() {
-        // Every terminal / executing API must drain staged requests
-        // first: finishing, single submits and shard loops all observe
-        // them (regression: into_report used to skip the queues).
-        let tree = Tree::star(6);
-        let factory = tc_factory(2, 2);
-
-        let mut staged =
-            ShardedEngine::new(Forest::partition(&tree, 2), &factory, EngineConfig::new(2));
-        staged.stage(Request::pos(NodeId(1))).expect("in range");
-        staged.stage(Request::pos(NodeId(1))).expect("in range");
-        let report = staged.into_report().expect("valid");
-        assert_eq!(report.rounds, 2, "into_report must run what was staged");
-
-        let mut mixed =
-            ShardedEngine::new(Forest::partition(&tree, 2), &factory, EngineConfig::new(2));
-        mixed.stage(Request::pos(NodeId(2))).expect("in range");
-        mixed.submit(Request::pos(NodeId(2))).expect("valid");
-        let mut ordered =
-            ShardedEngine::new(Forest::partition(&tree, 2), &factory, EngineConfig::new(2));
-        ordered.submit(Request::pos(NodeId(2))).expect("valid");
-        ordered.submit(Request::pos(NodeId(2))).expect("valid");
-        assert_eq!(
-            mixed.into_report().expect("valid"),
-            ordered.into_report().expect("valid"),
-            "submit flushes staged requests first, preserving global order"
-        );
-    }
-
-    #[test]
-    fn rejected_batch_preserves_staged_requests() {
-        // A routing error mid-batch must drop that batch only: requests
-        // staged before it survive and run on the next flush.
-        let tree = Tree::star(6);
-        let factory = tc_factory(2, 2);
-        let good = [Request::pos(NodeId(1)), Request::pos(NodeId(1))];
-
-        let mut engine =
-            ShardedEngine::new(Forest::partition(&tree, 2), &factory, EngineConfig::new(2));
-        engine.stage(Request::pos(NodeId(2))).expect("in range");
-        let err =
-            engine.submit_batch(&[Request::pos(NodeId(3)), Request::pos(NodeId(99))]).unwrap_err();
-        assert!(err.message.contains("99"), "unexpected error: {err}");
-        engine.submit_batch(&good).expect("valid");
-
-        let mut fresh =
-            ShardedEngine::new(Forest::partition(&tree, 2), &factory, EngineConfig::new(2));
-        fresh.submit(Request::pos(NodeId(2))).expect("valid");
-        fresh.submit_batch(&good).expect("valid");
-        assert_eq!(engine.into_report().expect("valid"), fresh.into_report().expect("valid"));
     }
 
     #[test]

@@ -72,8 +72,7 @@ pub use runner::{run_policy, run_stream};
 /// because the `benchmark/` package still names it; use [`EngineConfig`].
 pub type SimConfig = EngineConfig;
 pub use snapshot::{
-    parse_shard_section, EngineSnapshot, LogPosition, RecoverStats, ShardSection, SnapshotError,
-    SnapshotMeta,
+    EngineSnapshot, LogPosition, RecoverStats, ShardSection, SnapshotError, SnapshotMeta,
 };
 pub use telemetry::{Timeline, WindowRecord};
 pub use worker::{timeline_from_windows, ShardRouter, ShardWorker};

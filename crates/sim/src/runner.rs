@@ -77,8 +77,8 @@ fn close_field(pending: &mut [u64], set: &[NodeId], half_alpha: u64) -> (u64, u6
 ///   and after each single submit);
 /// * **on adoption**, O(n): [`Driver::adopt_cache`] checks the base case
 ///   of the induction — the subforest walk and the capacity — whenever the
-///   mirror is replaced wholesale (construction, snapshot restore,
-///   migration install);
+///   mirror is replaced wholesale (construction, snapshot restore; a
+///   migrated cell keeps its driver, so a migration adopts nothing);
 /// * **at finish**, O(n): the subforest walk once more, as a last guard.
 pub(crate) struct Driver {
     pub(crate) mirror: CacheSet,
@@ -144,7 +144,7 @@ impl Driver {
     /// at construction with the policy's current cache (so a policy that
     /// already holds content, e.g. one resumed across several `run_fib`
     /// calls, verifies against its real state), and on every snapshot
-    /// restore or migration install.
+    /// restore.
     ///
     /// # Errors
     /// A cache that is not a subforest of `tree` or holds more than
@@ -341,44 +341,31 @@ impl Driver {
         Ok(touched_total)
     }
 
-    /// Closes the unfinished phase and copies instrumentation into the
-    /// report **without consuming the driver** — the incremental-snapshot
-    /// primitive behind [`crate::worker::ShardWorker::report_snapshot`]:
-    /// a long-lived serving worker can publish "the report as if the run
-    /// ended now" at any moment and keep driving afterwards. Cost is one
-    /// clone of the instrumentation aggregates (zero when `instrument` is
-    /// off), paid per snapshot, never per round.
-    pub(crate) fn finish_into(&self, cfg: &EngineConfig, report: &mut Report) {
-        if cfg.instrument {
-            // Close the unfinished phase and account the open field F∞.
-            let mut phase = self.phase.clone();
-            phase.k_p = self.mirror.len();
-            phase.finished = false;
-            phase.open_requests = self.pending.iter().sum();
-            let mut periods = self.periods.clone();
-            periods.per_phase_balance.push((self.phase_pout, self.phase_pin, phase.k_p));
-            report.phases.push(phase);
-            let mut fields = self.fields.clone();
-            fields.open_field_requests = self.pending.iter().sum();
-            report.fields = Some(fields);
-            report.periods = Some(periods);
-        }
-    }
-
     /// Closes the unfinished phase and moves instrumentation into the
-    /// report (the consuming end-of-run form of [`Driver::finish_into`]),
-    /// after walking the mirror once more as the run's last guard.
+    /// report, after walking the mirror once more as the run's last guard.
     ///
     /// # Errors
     /// A mirror that is no longer a subforest of `tree`.
     pub(crate) fn finish(
-        self,
+        mut self,
         tree: &Tree,
         cfg: &EngineConfig,
         report: &mut Report,
     ) -> Result<(), String> {
         self.mirror.validate(tree).map_err(|e| format!("mirror invalid at finish: {e}"))?;
-        self.finish_into(cfg, report);
+        if cfg.instrument {
+            // Close the unfinished phase and account the open field F∞.
+            let open_requests = self.pending.iter().sum();
+            let mut phase = self.phase;
+            phase.k_p = self.mirror.len();
+            phase.finished = false;
+            phase.open_requests = open_requests;
+            self.periods.per_phase_balance.push((self.phase_pout, self.phase_pin, phase.k_p));
+            report.phases.push(phase);
+            self.fields.open_field_requests = open_requests;
+            report.fields = Some(self.fields);
+            report.periods = Some(self.periods);
+        }
         Ok(())
     }
 }

@@ -690,24 +690,6 @@ pub struct ShardSection {
     pub(crate) win_base: WindowBase,
 }
 
-/// Parses one standalone length-prefixed shard section, as produced by
-/// [`crate::worker::ShardWorker::snapshot_section`] — the payload of a
-/// cell-migration handoff. The same decoder full snapshots use, minus
-/// the surrounding container (no magic, meta or checksum: a handoff
-/// lives inside an already-framed in-memory transfer, never at rest on
-/// disk).
-///
-/// # Errors
-/// A [`SnapshotError`] for truncation, a length prefix that does not
-/// cover the payload, or any structural deviation inside the section.
-pub fn parse_shard_section(bytes: &[u8]) -> Result<ShardSection, SnapshotError> {
-    let mut cur = Cur::new(bytes);
-    let sec_len = cur.u32("section length")? as usize;
-    let section = parse_section(cur.take(sec_len, "shard section")?)?;
-    cur.done("shard section")?;
-    Ok(section)
-}
-
 fn parse_section(bytes: &[u8]) -> Result<ShardSection, SnapshotError> {
     let mut cur = Cur::new(bytes);
     let shard = cur.u32("section shard id")?;
@@ -897,16 +879,9 @@ impl EngineSnapshot {
     }
 }
 
-/// Restores one parsed section into a shard's live state.
-///
-/// Validation order keeps this safe: tree/policy identity checks and the
-/// (internally atomic) [`otc_core::policy::CachePolicy::restore_state`]
-/// run **before** any shard state is touched, so those failures leave the
-/// shard exactly as it was. The two checks that can only run after the
-/// policy restore — restored mirror ≡ restored policy cache, and the
-/// driver adopting that cache (subforest and capacity, the base case of
-/// its per-changeset induction) — poison the shard on failure rather than
-/// leave a split state.
+/// The identity checks of a section against a shard — tree size, tree
+/// digest, policy name. Pure, so a refusal leaves the shard exactly as
+/// it was.
 pub(crate) fn precheck_section(sec: &ShardSection, state: &ShardState<'_>) -> Result<(), String> {
     let tree = state.tree.get();
     if sec.tree_len != tree.len() as u64 {
@@ -934,11 +909,23 @@ pub(crate) fn precheck_section(sec: &ShardSection, state: &ShardState<'_>) -> Re
     Ok(())
 }
 
+/// Restores one parsed section into a shard's live state.
+///
+/// Validation order keeps this safe: [`precheck_section`] must have
+/// accepted `sec` for `state` first
+/// ([`crate::engine::ShardedEngine::restore_snapshot`] prechecks every
+/// shard before restoring any), and the (internally atomic)
+/// [`otc_core::policy::CachePolicy::restore_state`] runs **before** any
+/// shard state is touched, so those failures leave the shard exactly as
+/// it was. The two checks that can only run after the policy restore —
+/// restored mirror ≡ restored policy cache, and the driver adopting that
+/// cache (subforest and capacity, the base case of its per-changeset
+/// induction) — poison the shard on failure rather than leave a split
+/// state.
 pub(crate) fn restore_section_into(
     sec: &ShardSection,
     state: &mut ShardState<'_>,
 ) -> Result<(), String> {
-    precheck_section(sec, state)?;
     state.policy.restore_state(&sec.policy_blob)?;
     if sec.mirror != *state.policy.cache() {
         return Err(state.poison(format!(
@@ -1188,13 +1175,11 @@ mod tests {
         finish_snapshot(&mut buf);
         let snap = EngineSnapshot::parse(&buf).expect("parses");
 
-        // Restoring section-by-section into fresh workers resumes
-        // bit-identically to the originals.
-        let fresh = ShardedEngine::new(Forest::partition(&tree, 4), &factory, cfg());
+        // Restoring the assembled snapshot into a fresh engine and
+        // detaching it resumes bit-identically to the originals.
+        let mut fresh = ShardedEngine::new(Forest::partition(&tree, 4), &factory, cfg());
+        fresh.restore_snapshot(&snap).expect("restores");
         let (_, mut restored) = fresh.into_workers().expect("detaches");
-        for (w, sec) in restored.iter_mut().zip(&snap.sections) {
-            w.restore_section(sec).expect("restores");
-        }
         let more = mixed(tree.len(), 500, 31);
         for &r in &more {
             let (sid, local) = router.route(r).expect("in range");

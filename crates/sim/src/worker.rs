@@ -17,11 +17,10 @@
 //!   driver, report and telemetry state, now `Send` and self-contained,
 //!   ready to be moved onto a dedicated OS thread.
 //!
-//! Workers report **incrementally**: [`ShardWorker::report_snapshot`]
-//! publishes "the report as if the run ended now" without consuming
-//! anything (the classic `into_report` is terminal), and
-//! [`ShardWorker::windows`] snapshots the telemetry timeline the same
-//! way. Both cost one clone of the aggregates, never hot-path work.
+//! A worker reads out without stopping: [`ShardWorker::cell_load`], the
+//! cost counters and [`ShardWorker::windows`] are non-consuming, and
+//! [`ShardWorker::snapshot_section`] serializes the shard at any cut
+//! point. The report is terminal ([`ShardWorker::into_report`]).
 //!
 //! The determinism contract carries over unchanged: a worker processes
 //! its queue in FIFO order with the same verified `Driver` the engine
@@ -111,26 +110,6 @@ impl ShardWorker {
         Self { state, shard, cfg }
     }
 
-    /// Builds a fresh, empty worker for one cell — tree, policy, verified
-    /// driver and zeroed report — without detaching a whole engine. This
-    /// is how a rebalancing runtime materialises the destination of a
-    /// cell migration before installing the migrated state with
-    /// [`ShardWorker::restore_section`].
-    #[must_use]
-    pub fn fresh(
-        tree: Arc<Tree>,
-        policy: Box<dyn otc_core::policy::CachePolicy>,
-        shard: ShardId,
-        cfg: EngineConfig,
-    ) -> Self {
-        let state = crate::engine::ShardedEngine::shard_state(
-            crate::engine::TreeRef::Owned(tree),
-            policy,
-            &cfg,
-        );
-        Self { state, shard, cfg }
-    }
-
     /// This worker's cumulative load counters — the per-cell decision
     /// input of `otc_sim::rebalance` (see
     /// [`crate::engine::ShardedEngine::cell_loads`] for the engine-wide
@@ -160,19 +139,6 @@ impl ShardWorker {
     #[must_use]
     pub fn tree(&self) -> &Tree {
         self.state.tree.get()
-    }
-
-    /// A shared handle to the shard's tree, when the worker owns it
-    /// (workers detached from a forest-built engine always do; only
-    /// borrowed single-tree runners return `None`). Cell migration
-    /// serializes state but not the immutable tree — the destination
-    /// rebuilds its worker around this same handle.
-    #[must_use]
-    pub fn tree_arc(&self) -> Option<Arc<Tree>> {
-        match &self.state.tree {
-            crate::engine::TreeRef::Owned(tree) => Some(Arc::clone(tree)),
-            crate::engine::TreeRef::Borrowed(_) => None,
-        }
     }
 
     /// Rounds processed so far.
@@ -221,19 +187,6 @@ impl ShardWorker {
         self.state.drain(reqs, &self.cfg)
     }
 
-    /// The report **as if the run ended now**: all counters accumulated
-    /// so far plus a closed copy of the open instrumentation (phase, open
-    /// field). Non-consuming and repeatable — the worker keeps serving
-    /// afterwards and later snapshots strictly extend earlier ones. A
-    /// snapshot taken after the last round equals the terminal
-    /// [`ShardWorker::into_report`].
-    #[must_use]
-    pub fn report_snapshot(&self) -> Report {
-        let mut report = self.state.report.clone();
-        self.state.driver.finish_into(&self.cfg, &mut report);
-        report
-    }
-
     /// The telemetry windows closed so far, plus the open partial window
     /// (when telemetry is on and rounds have run since the last
     /// boundary), with the shard id filled in. Non-consuming.
@@ -256,28 +209,6 @@ impl ShardWorker {
     /// ([`otc_core::policy::CachePolicy::save_state`]).
     pub fn snapshot_section(&self, out: &mut Vec<u8>) -> Result<(), String> {
         crate::snapshot::write_section(self.shard.0, &self.state, out)
-    }
-
-    /// Restores this shard from a parsed snapshot section. Identity
-    /// checks (shard id, tree, policy) and the policy's own atomic
-    /// restore run before any state is touched; see
-    /// [`crate::engine::ShardedEngine::restore_snapshot`] for the
-    /// poisoning contract on post-mutation failures.
-    ///
-    /// # Errors
-    /// Identity mismatches, policy restore failures, and a restored cache
-    /// the driver refuses to adopt (which poisons the worker).
-    pub fn restore_section(
-        &mut self,
-        section: &crate::snapshot::ShardSection,
-    ) -> Result<(), String> {
-        if section.shard != self.shard.0 {
-            return Err(format!(
-                "snapshot section belongs to shard {} but this worker is shard {}",
-                section.shard, self.shard.0
-            ));
-        }
-        crate::snapshot::restore_section_into(section, &mut self.state)
     }
 
     /// Finishes the worker and returns its final per-shard report.
@@ -342,36 +273,6 @@ mod tests {
         }
         for (w, want) in workers.into_iter().zip(base) {
             assert_eq!(w.into_report().expect("valid"), want);
-        }
-    }
-
-    #[test]
-    fn snapshots_are_incremental_and_agree_with_the_terminal_report() {
-        let tree = Tree::star(8);
-        let reqs = mixed(tree.len(), 2000, 9);
-        let engine =
-            ShardedEngine::new(Forest::partition(&tree, 2), &factory, EngineConfig::new(2));
-        let (router, mut workers) = engine.into_workers().expect("detaches");
-
-        let mut mid = Vec::new();
-        for (i, &r) in reqs.iter().enumerate() {
-            let (sid, local) = router.route(r).expect("in range");
-            workers[sid.index()].step(local).expect("valid");
-            if i == reqs.len() / 2 {
-                mid = workers.iter().map(ShardWorker::report_snapshot).collect();
-            }
-        }
-        let last: Vec<Report> = workers.iter().map(ShardWorker::report_snapshot).collect();
-        for (m, l) in mid.iter().zip(&last) {
-            assert!(m.rounds <= l.rounds, "snapshots only grow");
-            assert!(m.cost.total() <= l.cost.total());
-        }
-        for (w, want) in workers.into_iter().zip(last) {
-            assert_eq!(
-                w.into_report().expect("valid"),
-                want,
-                "a final snapshot equals the terminal report"
-            );
         }
     }
 

@@ -157,15 +157,6 @@ impl<T> std::fmt::Display for SendError<T> {
 
 impl<T: std::fmt::Debug> std::error::Error for SendError<T> {}
 
-/// Why a non-blocking [`Sender::try_send`] refused a value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The ring is at capacity right now; a blocking send would wait.
-    Full(T),
-    /// The receiver was dropped.
-    Disconnected(T),
-}
-
 /// Why a [`Receiver`] returned no value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvError {
@@ -310,33 +301,6 @@ impl<T> Sender<T> {
     pub fn wake(&self) {
         self.shared.not_empty.notify_one();
     }
-
-    /// Attempts delivery without blocking.
-    ///
-    /// # Errors
-    /// [`TrySendError::Full`] when backpressure would block,
-    /// [`TrySendError::Disconnected`] when the receiver is gone; both hand
-    /// the value back.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut inner = self.shared.inner.lock().expect("channel lock poisoned");
-        if !inner.receiver_alive {
-            return Err(TrySendError::Disconnected(value));
-        }
-        match inner.ring.push(value) {
-            Ok(()) => {
-                drop(inner);
-                self.shared.not_empty.notify_one();
-                Ok(())
-            }
-            Err(v) => Err(TrySendError::Full(v)),
-        }
-    }
-
-    /// Items queued right now (a racy snapshot; useful for monitoring).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.shared.inner.lock().expect("channel lock poisoned").ring.len()
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -403,25 +367,6 @@ impl<T> Receiver<T> {
             }
             inner = self.shared.not_empty.wait(inner).expect("channel lock poisoned");
         }
-    }
-
-    /// Takes the next value only if one is already queued (`Ok(None)`
-    /// means "empty but still connected").
-    ///
-    /// # Errors
-    /// [`RecvError::Disconnected`] once every sender is gone and the ring
-    /// is empty.
-    pub fn try_recv(&self) -> Result<Option<T>, RecvError> {
-        let mut inner = self.shared.inner.lock().expect("channel lock poisoned");
-        if let Some(v) = inner.ring.pop() {
-            drop(inner);
-            self.shared.not_full.notify_one();
-            return Ok(Some(v));
-        }
-        if inner.senders == 0 {
-            return Err(RecvError::Disconnected);
-        }
-        Ok(None)
     }
 
     /// Blocks for at least one value, then moves up to `max` queued values
@@ -521,19 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn try_send_reports_backpressure() {
-        let (tx, rx) = channel(2);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(tx.queued(), 2);
-        assert_eq!(rx.recv(), Ok(1));
-        tx.try_send(3).unwrap();
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.recv(), Ok(3));
-    }
-
-    #[test]
     fn drop_of_all_senders_ends_the_stream_after_draining() {
         let (tx, rx) = channel(8);
         let tx2 = tx.clone();
@@ -542,9 +474,9 @@ mod tests {
         drop(tx);
         drop(tx2);
         assert_eq!(rx.recv(), Ok(10));
-        assert_eq!(rx.try_recv(), Ok(Some(20)));
+        assert_eq!(rx.recv(), Ok(20));
         assert_eq!(rx.recv(), Err(RecvError::Disconnected));
-        assert_eq!(rx.try_recv(), Err(RecvError::Disconnected));
+        assert_eq!(rx.recv_batch(&mut Vec::new(), 4), Err(RecvError::Disconnected));
     }
 
     #[test]
@@ -565,7 +497,9 @@ mod tests {
         // deliver means no lock, no wait, no error.
         let mut none = Vec::new();
         assert_eq!(tx.send_batch(&mut none).map(drop), Ok(()));
-        assert_eq!(tx.queued(), 1);
+        let mut out = Vec::new();
+        assert_eq!(rx.recv_batch(&mut out, 4), Ok(1), "nothing joined the queued 7");
+        assert_eq!(out, vec![7]);
         drop(rx);
         assert_eq!(tx.send_batch(&mut none).map(drop), Ok(()));
         assert!(none.is_empty());

@@ -11,7 +11,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use otc_util::ring::{channel, Ring, SendError, TrySendError};
+use otc_util::ring::{channel, Ring, SendError};
 use proptest::prelude::*;
 
 proptest! {
@@ -346,25 +346,5 @@ proptest! {
         prop_assert!(!left.is_empty(), "the batch was cut short");
         prop_assert!(taken + left.len() <= n);
         prop_assert_eq!(&left[..], &(n - left.len()..n).collect::<Vec<_>>()[..], "suffix kept");
-    }
-
-    /// `try_send` refuses exactly when the ring is at capacity, and the
-    /// refusal hands the value back intact.
-    #[test]
-    fn try_send_full_signals_are_exact(
-        capacity in 1usize..8,
-        extra in 1usize..8,
-    ) {
-        let (tx, rx) = channel(capacity);
-        for i in 0..capacity {
-            prop_assert!(tx.try_send(i).is_ok(), "under capacity never refuses");
-        }
-        for i in 0..extra {
-            prop_assert_eq!(tx.try_send(capacity + i), Err(TrySendError::Full(capacity + i)));
-        }
-        // Draining one slot re-admits exactly one value.
-        prop_assert_eq!(rx.recv(), Ok(0));
-        prop_assert!(tx.try_send(999).is_ok());
-        prop_assert_eq!(tx.try_send(1000), Err(TrySendError::Full(1000)));
     }
 }

@@ -10,7 +10,8 @@ use std::sync::Arc;
 use online_tree_caching::baselines::opt_cost;
 use online_tree_caching::core::tc::{TcConfig, TcFast};
 use online_tree_caching::core::Tree;
-use online_tree_caching::sim::engine::{EngineConfig, ShardedEngine};
+use online_tree_caching::sim::engine::EngineConfig;
+use online_tree_caching::sim::run_policy;
 use online_tree_caching::util::{parallel_map, SplitMix64};
 use online_tree_caching::workloads::uniform_mixed;
 
@@ -37,10 +38,9 @@ fn main() {
             // TC's cost measured through the engine (single borrowed
             // shard, full verification — a sweep cell is cheap enough).
             let mut tc = TcFast::new(Arc::clone(&tree), TcConfig::new(alpha, k));
-            let mut engine =
-                ShardedEngine::single_borrowed(&tree, &mut tc, EngineConfig::new(alpha));
-            engine.submit_batch(&reqs).expect("TC never violates the protocol");
-            let tc_cost = engine.into_report().expect("valid run").total();
+            let tc_cost = run_policy(&tree, &mut tc, &reqs, EngineConfig::new(alpha))
+                .expect("TC never violates the protocol")
+                .total();
             tc_cost as f64 / opt_cost(&tree, &reqs, alpha, k) as f64
         });
         let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
