@@ -7,9 +7,9 @@
 //! |--------|-------|
 //! | `otc_serve_accept_nanos` | TCP accept → handshake flushed |
 //! | `otc_serve_lock_hold_nanos` | ingress lock held (log + route + enqueue, per batch) |
-//! | `otc_serve_ring_wait_nanos{group}` | staged in a lane run → dequeued, including the ack write before the deferred wake (sampled once per ingest, labelled with the request's group) |
+//! | `otc_serve_ring_wait_nanos{group}` | staged in a lane run → dequeued, including the ingest of the rest of the read burst and its one flush before the deferred wake (sampled once per ingest, labelled with the request's group) |
 //! | `otc_serve_drain_nanos{cell}` | one buffered run through a cell worker |
-//! | `otc_serve_flush_nanos` | one reply flushed to the socket |
+//! | `otc_serve_flush_nanos` | one read burst's replies flushed to the socket (one sample per burst: one frame for a client that waits for each reply, several for a pipelining one) |
 //!
 //! plus operational counters (`otc_serve_connections_total`,
 //! `otc_serve_batches_total`, `otc_serve_requests_total`,
@@ -54,7 +54,7 @@ pub struct ServeMetrics {
     pub(crate) accept: Arc<Histogram>,
     /// Ingress critical section (log append + route + enqueue).
     pub(crate) lock_hold: Arc<Histogram>,
-    /// One reply flush to a client socket.
+    /// One flush to a client socket: the replies to one read burst.
     pub(crate) flush: Arc<Histogram>,
     /// Ring enqueue → dequeue, one histogram per serving group.
     ring_wait: Vec<Arc<Histogram>>,

@@ -18,11 +18,20 @@
 //!   pushes every run with a single [`ring::Sender::send_batch`]: one
 //!   ring lock per lane per frame, not per request. The worker
 //!   wake-ups leave the critical path entirely: each push returns a
-//!   [`ring::Wake`] guard, and the connection thread drops the frame's
-//!   guards only after its `Ack` is flushed — one wake-up per lane per
-//!   frame, outside the ingress lock and after the client has its
-//!   answer. Nothing waits on a deferred wake: a sender that finds a
-//!   ring full wakes its worker first, markers go out with the eager
+//!   [`ring::Wake`] guard, and the connection thread drops the guards
+//!   only after the `Ack`s are flushed — outside the ingress lock and
+//!   after the client has its answer.
+//! * A connection thread **flushes once per read burst**: after
+//!   answering a frame it flushes (and drops its guards) only when its
+//!   read buffer does not already hold the next complete frame. A
+//!   client that pipelines k frames in one write gets k `Ack`s in one
+//!   write, and the lanes the burst fed are woken once it is answered,
+//!   not after each frame. The price is that the first `Ack` of a burst
+//!   also waits for the ingest of the frames buffered behind it — at
+//!   most one read buffer's worth (8 KiB). A client that sends one
+//!   frame and waits never has a next frame buffered, so its replies go
+//!   out at once. Nothing waits on a deferred wake: a sender that finds
+//!   a ring full wakes its worker first, markers go out with the eager
 //!   [`ring::Sender::send`], and a `Drain` wakes every lane before it
 //!   waits.
 //! * A serving **group** is the unit the rebalancer places, logs and
@@ -1559,8 +1568,8 @@ fn connection_loop(
     let mut rbuf = Vec::new();
     let mut wbuf = Vec::new();
     let mut routed = Vec::new();
-    // The wake guards of the frame being answered, dropped once its reply
-    // is flushed (or with this frame on any early return).
+    // The wake guards of the burst being answered, dropped once its
+    // replies are flushed (or with this frame on any early return).
     let mut wakes = Vec::new();
 
     let fail = |writer: &mut BufWriter<TcpStream>, wbuf: &mut Vec<u8>, message: String| {
@@ -1661,13 +1670,18 @@ fn connection_loop(
                 return Ok(());
             }
         }
-        // Flush every reply before blocking on the next read. Gating this
-        // on an empty read buffer looks like a batching win but is a
-        // liveness hazard: a partial next frame in the buffer would leave
-        // the reply unflushed while `read_message` blocks on the socket —
-        // deadlocking any client that waits for the ack before sending
-        // the rest. One small write per reply (with TCP_NODELAY) is the
-        // correct trade.
+        // Flush once per read burst: when the read buffer already holds
+        // the whole next frame, answer it first, so k pipelined frames get
+        // their k replies in one write and their lanes one round of
+        // wake-ups. That next `read_message` is served from the buffer and
+        // cannot block. Anything less than a whole frame (nothing, part of
+        // a length prefix, part of a body, a length `read_message` will
+        // refuse) flushes first: the client may be waiting for these
+        // replies before it sends the rest, and gating on a merely
+        // non-empty buffer would deadlock it.
+        if wire::holds_complete_frame(reader.buffer()) {
+            continue;
+        }
         match &shared.metrics {
             Some(m) => {
                 let stamp = clock::stamp();
@@ -1676,7 +1690,7 @@ fn connection_loop(
             }
             None => writer.flush()?,
         }
-        // The client has its ack: only now wake the lanes this frame fed.
+        // The client has its acks: only now wake the lanes the burst fed.
         wakes.clear();
     }
 }

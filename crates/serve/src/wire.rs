@@ -383,6 +383,20 @@ pub fn read_message<R: Read>(src: &mut R, scratch: &mut Vec<u8>) -> io::Result<O
     Message::decode(opcode, body).map(Some)
 }
 
+/// Whether `buf` begins with one whole frame by [`read_message`]'s
+/// length rules: a 4-byte prefix declaring `1..=MAX_FRAME` bytes, and
+/// that many bytes after it. A short prefix, a short body, and a zero
+/// or over-cap length all answer `false`. The server reads its read
+/// buffer with this to tell a `read_message` that cannot block from one
+/// that may.
+pub(crate) fn holds_complete_frame(buf: &[u8]) -> bool {
+    let Some(prefix) = buf.get(..4) else {
+        return false;
+    };
+    let len = u32::from_le_bytes(le_bytes(prefix));
+    (1..=MAX_FRAME).contains(&len) && buf.len() - 4 >= len as usize
+}
+
 #[cfg(test)]
 #[allow(
     clippy::indexing_slicing,
@@ -442,6 +456,44 @@ mod tests {
                 .expect_err("every proper prefix must be rejected");
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn a_complete_frame_is_told_from_every_prefix() {
+        let mut buf = Vec::new();
+        Message::Submit { requests: vec![Request::pos(NodeId(300)); 4] }.encode_into(&mut buf);
+        // Exactly one frame, and the same frame with the next one begun.
+        assert!(holds_complete_frame(&buf));
+        let mut two = buf.clone();
+        Message::Drain.encode_into(&mut two);
+        assert!(holds_complete_frame(&two));
+        assert!(holds_complete_frame(&two[..buf.len() + 2]));
+        // Every proper prefix, the empty one and one byte short included,
+        // is incomplete: cuts inside the length prefix and inside the body.
+        for cut in 0..buf.len() {
+            assert!(!holds_complete_frame(&buf[..cut]), "cut at {cut}");
+        }
+        // The smallest frame: a bare opcode.
+        assert!(holds_complete_frame(&[1, 0, 0, 0, 0x04]));
+        assert!(!holds_complete_frame(&[1, 0, 0, 0]));
+    }
+
+    #[test]
+    fn frames_read_message_rejects_are_never_complete() {
+        // Zero length: read_message refuses it, so it must not defer.
+        assert!(!holds_complete_frame(&[0, 0, 0, 0, 0x04, 0x04]));
+        // One over the cap, with the body "present" as far as a short
+        // buffer can tell, and the cap itself declared but not present.
+        let mut over = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        over.resize(4 + MAX_FRAME as usize + 1, 0x04);
+        assert!(!holds_complete_frame(&over));
+        let at_cap = MAX_FRAME.to_le_bytes();
+        assert!(!holds_complete_frame(&at_cap));
+        let mut full = at_cap.to_vec();
+        full.resize(4 + MAX_FRAME as usize, 0x04);
+        assert!(holds_complete_frame(&full));
+        assert!(!holds_complete_frame(&full[..full.len() - 1]));
+        assert!(!holds_complete_frame(&u32::MAX.to_le_bytes()));
     }
 
     #[test]

@@ -1,20 +1,28 @@
 //! End-to-end pins for the serving runtime, centred on the repo's core
 //! invariant: **the live service's cost is bit-identical to
 //! `replay_trace` of the trace it logged** — under concurrent clients,
-//! pipelining, multiple shards, and any replay thread count.
+//! pipelining, multiple shards, and any replay thread count — plus the
+//! ack liveness that flushing once per read burst must keep: however a
+//! pipelined burst is cut into writes, every complete frame is answered
+//! without waiting for the bytes after it.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use otc_core::forest::{Forest, ShardId};
 use otc_core::policy::CachePolicy;
 use otc_core::request::Request;
 use otc_core::tc::{TcConfig, TcFast};
 use otc_core::tree::{NodeId, Tree};
-use otc_serve::{Client, ServeConfig, Server, TraceLog};
+use otc_serve::wire::{encode_submit, read_message};
+use otc_serve::{Client, Message, ServeConfig, Server, TraceLog, WIRE_VERSION};
 use otc_sim::engine::{EngineConfig, ShardedEngine};
 use otc_sim::Report;
 use otc_util::SplitMix64;
 use otc_workloads::trace::TraceReader;
+use proptest::prelude::*;
 
 const ALPHA: u64 = 2;
 const CAPACITY: usize = 6;
@@ -273,4 +281,178 @@ fn file_backed_log_replays() {
     let per_shard = replay(&forest, &bytes, EngineConfig::new(ALPHA));
     assert_eq!(per_shard, outcome.per_shard, "file log replays bit-identically");
     std::fs::remove_file(&path).ok();
+}
+
+/// A hand-driven wire connection: it writes whatever bytes it is given,
+/// split wherever the test says, and reads replies under a 10 s timeout,
+/// so a reply the server never flushes fails the test instead of
+/// hanging it.
+struct RawConn {
+    stream: TcpStream,
+    rbuf: Vec<u8>,
+}
+
+impl RawConn {
+    /// Connects and completes the handshake.
+    fn open(server: &Server) -> Self {
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let mut conn = Self { stream, rbuf: Vec::new() };
+        let mut hello = Vec::new();
+        Message::Hello { version: WIRE_VERSION }.encode_into(&mut hello);
+        conn.write(&hello);
+        assert!(matches!(conn.reply(), Message::HelloAck { .. }), "handshake");
+        conn
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).expect("write");
+    }
+
+    /// The next reply frame; a timeout fails with a message naming it.
+    fn reply(&mut self) -> Message {
+        match read_message(&mut self.stream, &mut self.rbuf) {
+            Ok(Some(msg)) => msg,
+            Ok(None) => panic!("server closed the connection"),
+            Err(e) => panic!("no reply within the read timeout (an unflushed ack?): {e}"),
+        }
+    }
+
+    /// Reads one `Ack` per entry of `accepted`, in order.
+    fn expect_acks(&mut self, accepted: &[usize]) {
+        for (i, &want) in accepted.iter().enumerate() {
+            match self.reply() {
+                Message::Ack { accepted } => {
+                    assert_eq!(accepted as usize, want, "ack {i} carries its frame's count");
+                }
+                other => panic!("expected Ack {i}, got {other:?}"),
+            }
+        }
+    }
+
+    /// `Drain`, then `Bye`: each answered by one `Ack { accepted: 0 }`,
+    /// and then end of stream, so a surplus ack anywhere before shows.
+    fn drain_and_close(mut self) {
+        let mut tail = Vec::new();
+        Message::Drain.encode_into(&mut tail);
+        Message::Bye.encode_into(&mut tail);
+        self.write(&tail);
+        self.expect_acks(&[0, 0]);
+        let end = read_message(&mut self.stream, &mut self.rbuf).expect("clean close");
+        assert_eq!(end, None, "nothing follows the Bye ack");
+    }
+}
+
+/// A star-tree service over `shards` shards with an in-memory log.
+fn small_service(leaves: usize, shards: usize) -> (Forest, Server) {
+    let tree = Tree::star(leaves);
+    let forest = Forest::partition(&tree, shards);
+    let engine = ShardedEngine::new(forest.clone(), &factory, EngineConfig::new(ALPHA));
+    let server = Server::start(engine, ServeConfig::default()).expect("bind loopback");
+    (forest, server)
+}
+
+/// Shuts `server` down and checks the live reports against a replay of
+/// its log.
+fn assert_live_equals_replay(forest: &Forest, server: Server, served: usize) {
+    let outcome = server.shutdown().expect("clean shutdown");
+    assert_eq!(outcome.requests_served as usize, served);
+    let trace = outcome.trace_bytes.expect("memory log");
+    assert_eq!(replay(forest, &trace, EngineConfig::new(ALPHA)), outcome.per_shard);
+}
+
+/// Flushing once per read burst must never strand an ack behind a
+/// partial frame: a client that pipelines k whole `Submit` frames plus
+/// the first bytes of frame k+1, then waits for the k acks before it
+/// sends the rest, gets them — with the split inside frame k+1's length
+/// prefix and inside its payload. (Deferring the flush while the read
+/// buffer is merely non-empty deadlocks this client.)
+#[test]
+fn acks_are_flushed_ahead_of_a_partial_frame() {
+    const K: usize = 5;
+    let (forest, server) = small_service(32, 2);
+    let reqs = mixed(33, (K + 1) * 40, 0xB0257);
+    let frames: Vec<Vec<u8>> = reqs
+        .chunks(40)
+        .map(|chunk| {
+            let mut frame = Vec::new();
+            encode_submit(&mut frame, chunk);
+            frame
+        })
+        .collect();
+    let (whole, last) = frames.split_at(K);
+    let [last] = last else { unreachable!("K + 1 frames") };
+    let mut served = 0;
+    for split in [2, 4 + 3] {
+        let mut conn = RawConn::open(&server);
+        conn.write(&[whole.concat(), last[..split].to_vec()].concat());
+        conn.expect_acks(&[40; K]);
+        conn.write(&last[split..]);
+        conn.expect_acks(&[40]);
+        conn.drain_and_close();
+        served += reqs.len();
+    }
+    assert_live_equals_replay(&forest, server, served);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// However a pipelined burst is cut into `write`s — between frames,
+    /// inside a length prefix, inside a payload — and whether or not the
+    /// client waits for the acks of its complete frames at each cut,
+    /// every frame gets exactly one ack carrying its request count, in
+    /// order, and the live run replays from its log.
+    #[test]
+    fn segmented_pipelines_get_one_ack_per_frame(
+        frames in prop::collection::vec(
+            (0usize..160, 0u8..6, any::<u16>(), any::<bool>()),
+            1..12,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let (forest, server) = small_service(16, 2);
+        let mut conn = RawConn::open(&server);
+        let reqs = mixed(17, frames.iter().map(|f| f.0).sum(), seed);
+        let (mut bytes, mut sizes, mut cuts) = (Vec::new(), Vec::new(), Vec::new());
+        let mut rest = &reqs[..];
+        for &(n, kind, frac, wait) in &frames {
+            let (chunk, tail) = rest.split_at(n);
+            rest = tail;
+            let start = bytes.len();
+            encode_submit(&mut bytes, chunk);
+            let len = bytes.len() - start;
+            let frac = usize::from(frac);
+            // Where this frame is cut, if at all: inside the length
+            // prefix, inside the body (opcode included), or at its end.
+            let cut = match kind {
+                0 | 1 => None,
+                2 => Some(start + 1 + frac % 3),
+                3 => Some(start + 4 + frac % (len - 4)),
+                _ => Some(start + len),
+            };
+            sizes.push((start + len, n));
+            if let Some(at) = cut {
+                cuts.push((at, wait));
+            }
+        }
+        let mut written = 0;
+        let mut acked = 0;
+        for (at, wait) in cuts.into_iter().chain([(bytes.len(), true)]) {
+            conn.write(&bytes[written..at]);
+            written = at;
+            if wait {
+                // Every frame the bytes so far complete must be answered
+                // now, before the client sends anything more.
+                let done = sizes.iter().take_while(|&&(end, _)| end <= written).count();
+                let want: Vec<usize> = sizes[acked..done].iter().map(|&(_, n)| n).collect();
+                conn.expect_acks(&want);
+                acked = done;
+            }
+        }
+        prop_assert_eq!(acked, frames.len());
+        conn.drain_and_close();
+        assert_live_equals_replay(&forest, server, reqs.len());
+    }
 }

@@ -375,3 +375,44 @@ fn scrape_contains_every_stage_with_samples() {
     let final_snap = outcome.metrics.expect("metrics-on outcome");
     assert!(!final_snap.metrics.is_empty());
 }
+
+/// Pipelined frames that reach the server in one write are answered in
+/// one flush: 64 one-request frames sent through `Client::send` and
+/// written together by `wait_acks` get their 64 acks from fewer than 64
+/// flushes (a flush per frame would record exactly 64 samples).
+#[test]
+fn a_pipelined_burst_is_answered_with_fewer_flushes_than_frames() {
+    const FRAMES: usize = 64;
+    let tree = Tree::star(16);
+    let forest = Forest::partition(&tree, 2);
+    let engine = ShardedEngine::new(forest, &factory, EngineConfig::new(ALPHA));
+    let server = Server::start(engine, ServeConfig { metrics: true, ..ServeConfig::default() })
+        .expect("bind");
+
+    let reqs = mixed(17, FRAMES, 0xF1A5);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for r in &reqs {
+        client.send(std::slice::from_ref(r)).expect("queue one frame");
+    }
+    assert_eq!(client.inflight(), FRAMES);
+    assert_eq!(client.wait_acks().expect("all acks"), FRAMES as u64, "every frame acked");
+    assert_eq!(client.inflight(), 0);
+
+    let snap = client.scrape().expect("scrape");
+    assert_eq!(counter(&snap, "otc_serve_requests_total"), FRAMES as u64);
+    let flushes: Vec<u64> = snap
+        .metrics
+        .iter()
+        .filter(|r| r.name == "otc_serve_flush_nanos")
+        .map(|r| match &r.value {
+            MetricValue::Histogram(h) => h.count,
+            other => panic!("flush series must be a histogram, got {other:?}"),
+        })
+        .collect();
+    match flushes.as_slice() {
+        [n] => assert!(*n < FRAMES as u64, "{n} flushes answered {FRAMES} pipelined frames"),
+        other => panic!("expected one flush series, got {other:?}"),
+    }
+    client.bye().expect("bye");
+    server.shutdown().expect("clean shutdown");
+}
